@@ -10,14 +10,14 @@ from .basis import (BudgetExceeded, DEFAULT_BUDGET, FockContext,
                     RelationInconsistency, quotient_basis)
 from .diagrams import (YoungDiagram, count_diagrams, enumerate_diagrams,
                        grow, is_unitary, max_hook, render, spread)
-from .fock import (BARRED, UNBARRED, ChiralState, Letter, apply_letter,
-                   word_weight)
+from .fock import (BARRED, EPS_SIGN, UNBARRED, ChiralState, Letter,
+                   apply_letter, eps_tag, word_weight)
 from .qalgebra import (TensorState, apply_Q, check_dynamical_commutation,
                        check_growth, check_hook_vanishing,
                        check_offdiagonal_annihilation,
                        check_rowcol_commutativity, fprime_dimension,
-                       is_zero_tensor, make_context, nilpotency,
-                       resolve_eps_sign, tensor_vacuum, vector_of_diagram)
+                       is_zero_tensor, nilpotency, resolve_eps_sign,
+                       tensor_vacuum, vector_of_diagram)
 from .scalars import (FieldError, FieldSpec, GENERIC, ROOT, UsageError,
                       make_field)
 from .weights import (WeightVector, epsilon, eval_bracket, p_diff, shift,

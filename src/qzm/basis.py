@@ -28,9 +28,9 @@ from __future__ import annotations
 from math import factorial
 
 from . import fock
-from .fock import (ChiralState, class_words, determinant_rows, exchange_rows,
-                   single_word_rows, word_flavor_content, word_is_dead,
-                   word_row_content)
+from .fock import (EPS_SIGN, ChiralState, class_words, determinant_rows,
+                   exchange_rows, single_word_rows, word_flavor_content,
+                   word_is_dead, word_row_content)
 from .scalars import GENERIC, ROOT, UsageError, make_field
 
 DEFAULT_BUDGET = 100000
@@ -68,6 +68,16 @@ def chain_levels(row_content, flavor_content):
         f = tuple(x - 1 for x in f)
         levels.append((r, f))
     return levels
+
+
+def _level_words(n, levels):
+    """The words of each chain level, each sorted right to left."""
+    out = []
+    for r, f in levels:
+        ws = class_words(n, r, f)
+        ws.sort(key=lambda w: w[::-1])
+        out.append(ws)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +181,8 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
 
     words = []
     index = {}
-    level_words = []
-    for r, f in levels:
-        ws = class_words(n, r, f)
-        ws.sort(key=lambda w: w[::-1])
-        level_words.append(ws)
+    level_words = _level_words(n, levels)
+    for ws in level_words:
         for w in ws:
             if not word_is_dead(n, h, w):
                 index[w] = len(words)
@@ -201,9 +208,8 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
         insert_instances(exchange_rows(field, n, h, ws, dedupe=True, mode="short"))
     for ws in level_words:
         insert_instances(exchange_rows(field, n, h, ws, dedupe=True, mode="long"))
-    for lvl in range(len(levels) - 1):
-        insert_instances(determinant_rows(field, n, h, eps_sign,
-                                          level_words[lvl + 1], prune=True))
+    for ws in level_words[1:]:
+        insert_instances(determinant_rows(field, n, h, eps_sign, ws, prune=True))
 
     if b"" in index and index[b""] in rref:
         raise RelationInconsistency(
@@ -232,7 +238,7 @@ class FockContext:
     shared global state).
     """
 
-    def __init__(self, n, k=None, *, generic=False, eps_sign=1,
+    def __init__(self, n, k=None, *, generic=False, eps_sign=EPS_SIGN,
                  budget=DEFAULT_BUDGET, disk_cache=None):
         if n < 2:
             raise UsageError("need n >= 2")
@@ -325,21 +331,16 @@ class FockContext:
 
     # -- relation instances ----------------------------------------------
 
-    def relation_instances(self, row_content, flavor_content, *, dedupe=False):
+    def relation_instances(self, row_content, flavor_content):
         """All relation instances of the block chain, as an iterator."""
         field, n, h = self.field, self.n, self.h
         levels = chain_levels(row_content, flavor_content)
-        level_words = []
-        for r, f in levels:
-            ws = class_words(n, r, f)
-            ws.sort(key=lambda w: w[::-1])
-            level_words.append(ws)
+        level_words = _level_words(n, levels)
         for ws in level_words:
             yield from single_word_rows(field, n, h, ws)
-            yield from exchange_rows(field, n, h, ws, dedupe=dedupe)
-        for lvl in range(len(levels) - 1):
-            yield from determinant_rows(field, n, h, self.eps_sign,
-                                        level_words[lvl + 1], prune=dedupe)
+            yield from exchange_rows(field, n, h, ws)
+        for ws in level_words[1:]:
+            yield from determinant_rows(field, n, h, self.eps_sign, ws)
 
 
 def _compositions(total, parts):

@@ -5,7 +5,8 @@ One JSON file per class family, named by a stable hash of the key
 merged into the family file as blocks get computed.  Every file carries a
 versioned header including the epsilon-convention tag; files whose header
 does not match the requesting context are ignored on load and quarantined
-by validation.  Writes are atomic (temp file, then rename).  Barred
+by validation, which also re-reduces a sample of relation instances through
+every stored block.  Writes are atomic (temp file, then rename).  Barred
 classes satisfy the same relations as unbarred ones in (row, flavor)
 terms, so records are stored once under chirality "unbarred".
 
@@ -19,10 +20,12 @@ import json
 import os
 import tempfile
 
-from .basis import BlockBasis
-from .fock import word_from_letters, word_letters, word_sort_key
+from .basis import BlockBasis, FockContext
+from .fock import (eps_tag, word_from_letters, word_is_dead, word_letters,
+                   word_sort_key)
 
 SCHEMA = "qzm-basis/1"
+VALIDATE_SAMPLES = 5    # relation instances re-reduced per stored block
 
 
 def _canon_key(n, field_tag, row_content):
@@ -33,6 +36,11 @@ def _canon_key(n, field_tag, row_content):
         "chirality": "unbarred",
         "row_content": list(row_content),
     }
+
+
+def _header_ok(ctx, key, data):
+    return ({k: data.get(k) for k in key} == key
+            and data.get("eps") == eps_tag(ctx.eps_sign))
 
 
 def _key_hash(key):
@@ -82,6 +90,30 @@ def _decode_block(ctx, key, record):
     return BlockBasis(key, words, index, rref, record["total_words"])
 
 
+def _sample_reduces_to_zero(ctx, bb):
+    """The first VALIDATE_SAMPLES relation instances of the block chain that
+    touch a live word reduce to zero through the block's echelon form alone
+    (every live word of the chain is a basis or a pivot word of the block)."""
+    n, h = ctx.n, ctx.h
+    count = 0
+    for inst in ctx.relation_instances(*bb.key):
+        live = [(w, c) for w, c in inst.terms.items()
+                if not word_is_dead(n, h, w)]
+        if not live:
+            continue
+        acc = {}
+        for w, c in live:
+            for fw, s in bb.reduce_word(w):
+                cs = c if s is None else c * s
+                acc[fw] = acc[fw] + cs if fw in acc else cs
+        if any(not v.is_zero() for v in acc.values()):
+            return False
+        count += 1
+        if count == VALIDATE_SAMPLES:
+            break
+    return True
+
+
 class DiskCache:
     def __init__(self, directory):
         self.directory = directory
@@ -100,8 +132,7 @@ class DiskCache:
                 data = json.load(fh)
         except (OSError, ValueError):
             return key, path, None
-        header = {k: data.get(k) for k in key}
-        if header != key or data.get("eps") != f"qeps{ctx.eps_sign:+d}":
+        if not _header_ok(ctx, key, data):
             return key, path, None
         return key, path, data
 
@@ -120,7 +151,7 @@ class DiskCache:
         key, path, data = self._read_family(ctx, row_content)
         if data is None:
             data = dict(key)
-            data["eps"] = f"qeps{ctx.eps_sign:+d}"
+            data["eps"] = eps_tag(ctx.eps_sign)
             data["blocks"] = {}
         data["blocks"][",".join(map(str, flavor_content))] = _encode_block(ctx, bb)
         self._atomic_write(path, data)
@@ -150,7 +181,32 @@ class DiskCache:
 
     # -- maintenance ---------------------------------------------------------
 
+    def validate(self, data):
+        """True when a family record matches this version and the pinned
+        convention, and a sample of relation instances of every block
+        reduces to zero through the stored data.
+
+        Malformed data reads as invalid; any other error propagates.
+        """
+        try:
+            n, field = data["n"], data["field"]
+            ctx = (FockContext(n, generic=True) if field == "generic"
+                   else FockContext(n, int(field.split(":")[1]) - n))
+            rc = tuple(data["row_content"])
+            if not _header_ok(ctx, _canon_key(n, ctx.field.tag(), rc), data):
+                return False
+            for fc_key, record in sorted(data["blocks"].items()):
+                fc = tuple(int(x) for x in fc_key.split(","))
+                bb = _decode_block(ctx, (rc, fc), record)
+                if not _sample_reduces_to_zero(ctx, bb):
+                    return False
+            return True
+        except (KeyError, IndexError, TypeError, ValueError, ArithmeticError):
+            return False
+
     def records(self):
+        """(file name, parsed record) pairs; the record is None when the
+        file cannot be read or does not hold a JSON object."""
         out = []
         for name in sorted(os.listdir(self.directory)):
             if not name.endswith(".json"):
@@ -160,9 +216,8 @@ class DiskCache:
                 with open(path, encoding="utf-8") as fh:
                     data = json.load(fh)
             except (OSError, ValueError):
-                out.append((name, None))
-                continue
-            out.append((name, data))
+                data = None
+            out.append((name, data if isinstance(data, dict) else None))
         return out
 
     def quarantine(self, name):

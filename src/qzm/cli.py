@@ -12,13 +12,12 @@ import argparse
 import random
 import sys
 import time
-from dataclasses import dataclass
 
 from . import __version__, bilinears as bl, diagrams as dg, qalgebra as qa
 from .basis import BudgetExceeded, DEFAULT_BUDGET, FockContext
 from .cache import DiskCache
-from .fock import ChiralState, class_words, word_is_dead
-from .qalgebra import eps_tag, make_context, resolve_eps_sign
+from .fock import (EPS_SIGN, ChiralState, class_words, determinant_rows,
+                   eps_tag, word_is_dead)
 from .reports import (BUDGET, CheckRecord, DERIVED, EXPLORATORY, FAIL, DOCUMENTED,
                       PASS, Report, SKIPPED)
 from .scalars import GENERIC, ROOT, make_field
@@ -27,86 +26,59 @@ SWEEP_LETTERS = 4          # class-family sweep depth for verify-algebra
 RANDOM_WORD_LETTERS = 3    # length of seeded random words in identity checks
 
 
-@dataclass
-class RunConfig:
-    command: str
-    n: int = None
-    k: int = None
-    generic_q: bool = False
-    budget: int = DEFAULT_BUDGET
-    samples: int = 25
-    seed: int = 1
-    cache_dir: str = None
-    format: str = "text"
-    out: str = None
-    i: int = 2
-    cache_action: str = None
-
-    @property
-    def h(self):
-        return None if self.n is None or self.k is None else self.n + self.k
-
-    def echo(self):
-        d = {"command": self.command, "budget": self.budget,
-             "samples": self.samples, "seed": self.seed,
-             "generic_q": self.generic_q}
-        if self.n is not None:
-            d.update(n=self.n, k=self.k, h=self.h)
-        if self.i is not None and self.command == "check-w":
-            d["i"] = self.i
-        return d
+def _echo(cfg):
+    d = {"command": cfg.command, "budget": cfg.budget, "samples": cfg.samples,
+         "seed": cfg.seed, "generic_q": cfg.generic_q}
+    if cfg.n is not None:
+        d.update(n=cfg.n, k=cfg.k, h=cfg.h)
+    if cfg.command == "check-w":
+        d["i"] = cfg.i
+    return d
 
 
-def _context(cfg, generic=None):
+def _context(cfg, generic):
     disk = DiskCache(cfg.cache_dir) if cfg.cache_dir else None
-    generic = cfg.generic_q if generic is None else generic
-    if generic:
-        return make_context(cfg.n, cfg.k, generic=True, budget=cfg.budget,
-                            disk_cache=disk)
-    return make_context(cfg.n, cfg.k, budget=cfg.budget, disk_cache=disk)
+    return FockContext(cfg.n, cfg.k, generic=generic, budget=cfg.budget,
+                       disk_cache=disk)
 
 
 class Checker:
-    """Collects check records, timing each one and trapping budget errors."""
+    """Collects check records, timing each one and trapping budget errors.
+
+    A check function returns its verdict (true, false or SKIPPED), or a
+    (verdict, extras) pair whose extras may add ``params`` to the record
+    and set its ``sizes``, ``certificate`` and ``detail``.
+    """
 
     def __init__(self):
         self.records = []
 
-    def run(self, name, params, provenance, fn, sizes=None, detail=None):
+    def run(self, name, params, provenance, fn):
         t0 = time.perf_counter()
         try:
-            ok = fn()
-            result = PASS if ok else FAIL
+            out = fn()
+            verdict, extras = out if isinstance(out, tuple) else (out, {})
         except BudgetExceeded as e:
-            result = BUDGET
-            detail = str(e)
-        rec = CheckRecord(name, params, result, provenance,
-                          sizes=sizes or {}, seconds=time.perf_counter() - t0,
-                          detail=detail)
+            verdict, extras = BUDGET, {"detail": str(e)}
+        if not isinstance(verdict, str):
+            verdict = PASS if verdict else FAIL
+        params = dict(params, **extras.pop("params", {}))
+        rec = CheckRecord(name, params, verdict, provenance,
+                          seconds=time.perf_counter() - t0, **extras)
         self.records.append(rec)
         return rec
-
-    def add(self, rec):
-        self.records.append(rec)
-        return rec
-
-
-def _report(cfg, checks):
-    return Report(__version__, eps_tag(resolve_eps_sign()), cfg.echo(), checks)
 
 
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
 
-def cmd_enumerate(cfg):
-    ck = Checker()
+def cmd_enumerate(cfg, ck):
     n, h, k = cfg.n, cfg.h, cfg.k
     listed = dg.enumerate_diagrams(n, h)
     for y in listed:
-        rec = y.to_record(k)
-        ck.add(CheckRecord("diagram", rec, PASS, DERIVED,
-                           detail=dg.render(y).replace("\n", " / ")))
+        ck.run("diagram", y.to_record(k), DERIVED,
+               lambda: (True, {"detail": dg.render(y).replace("\n", " / ")}))
     closed = dg.count_diagrams(n, h)
     ck.run("count_matches_closed_form",
            {"n": n, "h": h, "enumerated": len(listed), "closed_form": closed},
@@ -118,15 +90,13 @@ def cmd_enumerate(cfg):
     ck.run("rectangle_containment", {"n": n, "h": h}, DOCUMENTED,
            lambda: all(y.rows <= n - 1 and (not y.parts or y.parts[0] <= h - 1)
                        for y in listed))
-    return _report(cfg, ck.records)
 
 
 # ---------------------------------------------------------------------------
 # verify-field
 # ---------------------------------------------------------------------------
 
-def cmd_verify_field(cfg):
-    ck = Checker()
+def cmd_verify_field(cfg, ck):
     h = cfg.h
     f = make_field(ROOT, h)
     ck.run("q_int_h_vanishes", {"h": h}, DOCUMENTED,
@@ -151,7 +121,6 @@ def cmd_verify_field(cfg):
            lambda: _field_axioms(f, rng, cfg.samples))
     ck.run("encode_roundtrip", {"h": h, "samples": cfg.samples}, DERIVED,
            lambda: _encode_roundtrip(f, random.Random(cfg.seed), cfg.samples))
-    return _report(cfg, ck.records)
 
 
 def _eval_modulus(f):
@@ -232,42 +201,32 @@ def _instances_all_zero(ctx, rc, fc):
     return True
 
 
+def _sweep_all_zero(ctx, contents):
+    bad = [(rc, fc) for rc in contents
+           for fc in _sweep_contents(ctx.n, sum(rc))
+           if sum(fc) == sum(rc) and not _instances_all_zero(ctx, rc, fc)]
+    detail = f"nonzero instances in {bad[:3]}" if bad else None
+    return not bad, {"sizes": {"families": len(contents)}, "detail": detail}
+
+
 def _verify_algebra_mode(cfg, ck, generic):
-    ctx = _context(cfg, generic=generic)
+    ctx = _context(cfg, generic)
     mode = GENERIC if generic else ROOT
     rng = random.Random(cfg.seed)
     n = ctx.n
 
-    contents = [c for c in _sweep_contents(n, SWEEP_LETTERS)
-                if sum(c) <= SWEEP_LETTERS]
-    bad = []
-    t0 = time.perf_counter()
-    for rc in contents:
-        total = sum(rc)
-        for fc in _sweep_contents(n, total):
-            if sum(fc) != total:
-                continue
-            if not _instances_all_zero(ctx, rc, fc):
-                bad.append((rc, fc))
-    ck.add(CheckRecord(
-        "relation_instances_all_zero",
-        {"mode": mode, "n": n, "max_letters": SWEEP_LETTERS},
-        PASS if not bad else FAIL, DERIVED,
-        sizes={"families": len(contents)},
-        seconds=time.perf_counter() - t0,
-        detail=None if not bad else f"nonzero instances in {bad[:3]}"))
-
+    contents = _sweep_contents(n, SWEEP_LETTERS)
+    ck.run("relation_instances_all_zero",
+           {"mode": mode, "n": n, "max_letters": SWEEP_LETTERS}, DERIVED,
+           lambda: _sweep_all_zero(ctx, contents))
     ck.run("vacuum_family_dimension_one", {"mode": mode, "n": n}, DOCUMENTED,
            lambda: ctx.block_basis((1,) * n, (1,) * n).dim
            >= 1 and b"" in ctx.block_basis((1,) * n, (1,) * n).basis_words)
 
     # determinant consistency: chain instances with the empty prefix
-    t0 = time.perf_counter()
-    ok = _determinant_consistency(ctx, rng, cfg.samples)
-    ck.add(CheckRecord("determinant_consistency",
-                       {"mode": mode, "n": n, "samples": cfg.samples},
-                       PASS if ok else FAIL, DERIVED,
-                       seconds=time.perf_counter() - t0))
+    ck.run("determinant_consistency",
+           {"mode": mode, "n": n, "samples": cfg.samples}, DERIVED,
+           lambda: _determinant_consistency(ctx, rng, cfg.samples))
 
     # bilinear identities on seeded states
     words = [_random_word(ctx, rng) for _ in range(cfg.samples)]
@@ -314,7 +273,6 @@ def _verify_algebra_mode(cfg, ck, generic):
 
 def _determinant_consistency(ctx, rng, samples):
     n = ctx.n
-    from .fock import determinant_rows
     for rc in [(0,) * n, (1,) + (0,) * (n - 1), (2,) + (0,) * (n - 1)]:
         for fc in {(0,) * n, (sum(rc),) + (0,) * (n - 1),
                    tuple(sorted(rc, reverse=True))}:
@@ -331,90 +289,49 @@ def _determinant_consistency(ctx, rng, samples):
     return True
 
 
-def cmd_verify_algebra(cfg):
-    ck = Checker()
+def cmd_verify_algebra(cfg, ck):
     _verify_algebra_mode(cfg, ck, generic=False)
     _verify_algebra_mode(cfg, ck, generic=True)
-    return _report(cfg, ck.records)
 
 
 # ---------------------------------------------------------------------------
 # fprime
 # ---------------------------------------------------------------------------
 
-def cmd_fprime(cfg):
-    ck = Checker()
+def cmd_fprime(cfg, ck):
     if cfg.generic_q:
-        ck.add(CheckRecord("fprime", {"n": cfg.n, "k": cfg.k}, SKIPPED,
-                           DERIVED, detail="root-of-unity statement; "
-                           "generic mode has no finite diagram space"))
-        return _report(cfg, ck.records)
+        ck.run("fprime", {"n": cfg.n, "k": cfg.k}, DERIVED,
+               lambda: (SKIPPED, {"detail": "root-of-unity statement; generic "
+                                            "mode has no finite diagram space"}))
+        return
     ctx = _context(cfg, generic=False)
     n, k, h = cfg.n, cfg.k, cfg.h
-
-    t0 = time.perf_counter()
-    try:
-        res = qa.fprime_dimension(ctx)
-    except BudgetExceeded as e:
-        ck.add(CheckRecord("fprime_dimension", {"n": n, "k": k}, BUDGET, DOCUMENTED,
-                           detail=str(e)))
-        return _report(cfg, ck.records)
     expected = dg.count_diagrams(n, h)
-    ck.add(CheckRecord(
-        "fprime_dimension", {"n": n, "k": k, "h": h, "expected": expected},
-        PASS if res.dimension == expected else FAIL,
-        DOCUMENTED if n == 2 else DERIVED,
-        sizes={"dimension": res.dimension},
-        seconds=time.perf_counter() - t0))
+    res = None
+
+    def dimension():
+        nonlocal res
+        res = qa.fprime_dimension(ctx)
+        return res.dimension == expected, {
+            "params": {"h": h, "expected": expected},
+            "sizes": {"dimension": res.dimension}}
+
+    if ck.run("fprime_dimension", {"n": n, "k": k},
+              DOCUMENTED if n == 2 else DERIVED, dimension).result == BUDGET:
+        return
     for r in res.records:
-        ck.add(CheckRecord(
-            "diagram_vector_nonzero",
-            {"parts": list(r.diagram.parts), "unitary": r.unitary},
-            PASS if r.nonzero else FAIL, DOCUMENTED))
+        ck.run("diagram_vector_nonzero",
+               {"parts": list(r.diagram.parts), "unitary": r.unitary},
+               DOCUMENTED, lambda: r.nonzero)
 
     for y in dg.enumerate_diagrams(n, h):
         for j in range(1, n + 1):
-            t0 = time.perf_counter()
-            try:
-                out = qa.check_growth(ctx, y, j)
-            except BudgetExceeded as e:
-                ck.add(CheckRecord("growth", {"parts": list(y.parts), "j": j},
-                                   BUDGET, DOCUMENTED, detail=str(e)))
-                continue
-            # the source asserts violations land on zero or another basis
-            # vector; legal growth is proportional with nonzero coefficient
-            if out.prediction == "diagram":
-                ok = out.kind == qa.GROWTH_PROPORTIONAL
-            else:
-                ok = out.kind in (qa.GROWTH_ZERO, qa.GROWTH_IN_SPAN)
-            params = {"parts": list(y.parts), "j": j,
-                      "prediction": out.prediction, "outcome": out.kind}
-            if out.target is not None:
-                params["target"] = list(out.target.parts)
-            if out.coefficient is not None:
-                params["coefficient"] = out.coefficient.encode()
-            cert = None
-            if out.kind == qa.GROWTH_OUTSIDE:
-                cert = qa.residual_certificate(
-                    ctx, qa.apply_Q(j, j, qa.vector_of_diagram(ctx, y)))
-            ck.add(CheckRecord("growth", params, PASS if ok else FAIL, DOCUMENTED,
-                               seconds=time.perf_counter() - t0,
-                               sizes={"max_block_words":
-                                      ctx.stats["max_block_words"]},
-                               certificate=cert))
+            ck.run("growth", {"parts": list(y.parts), "j": j}, DOCUMENTED,
+                   lambda: _growth(ctx, y, j))
 
     for y in dg.enumerate_diagrams(n, h):
-        t0 = time.perf_counter()
-        try:
-            ok = qa.check_offdiagonal_annihilation(ctx, y)
-        except BudgetExceeded as e:
-            ck.add(CheckRecord("offdiagonal_annihilation",
-                               {"parts": list(y.parts)}, BUDGET, DOCUMENTED,
-                               detail=str(e)))
-            continue
-        ck.add(CheckRecord("offdiagonal_annihilation", {"parts": list(y.parts)},
-                           PASS if ok else FAIL, DOCUMENTED,
-                           seconds=time.perf_counter() - t0))
+        ck.run("offdiagonal_annihilation", {"parts": list(y.parts)}, DOCUMENTED,
+               lambda: qa.check_offdiagonal_annihilation(ctx, y))
 
     # dynamical commutation on small diagram vectors
     smalls = [y for y in dg.enumerate_diagrams(n, h) if y.boxes <= 2]
@@ -422,161 +339,135 @@ def cmd_fprime(cfg):
         v = qa.vector_of_diagram(ctx, y)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
-                t0 = time.perf_counter()
-                verdict = qa.check_dynamical_commutation(ctx, v, i, j)
-                ck.add(CheckRecord(
-                    "dynamical_commutation",
-                    {"parts": list(y.parts), "i": i, "j": j},
-                    {"pass": PASS, "fail": FAIL, "vacuous": SKIPPED}[verdict],
-                    DOCUMENTED, seconds=time.perf_counter() - t0,
-                    detail="premise vacuous" if verdict == "vacuous" else None))
+                ck.run("dynamical_commutation",
+                       {"parts": list(y.parts), "i": i, "j": j}, DOCUMENTED,
+                       lambda: _commutation(ctx, v, i, j))
 
-    t0 = time.perf_counter()
-    ok = qa.check_rowcol_commutativity(
-        ctx, [qa.tensor_vacuum(ctx), qa.apply_Q(1, 1, qa.tensor_vacuum(ctx))])
-    ck.add(CheckRecord("rowcol_commutativity", {"n": n, "k": k},
-                       PASS if ok else FAIL, DOCUMENTED,
-                       seconds=time.perf_counter() - t0))
+    ck.run("rowcol_commutativity", {"n": n, "k": k}, DOCUMENTED,
+           lambda: qa.check_rowcol_commutativity(
+               ctx, [qa.tensor_vacuum(ctx),
+                     qa.apply_Q(1, 1, qa.tensor_vacuum(ctx))]))
 
-    nil = [(1, 1)] + ([(1, 2)] if n >= 2 else [])
-    for i, j in nil:
-        t0 = time.perf_counter()
-        ok = qa.nilpotency(ctx, i, j)
-        ck.add(CheckRecord("nilpotency", {"i": i, "j": j, "h": h},
-                           PASS if ok else FAIL, DOCUMENTED,
-                           seconds=time.perf_counter() - t0))
-    return _report(cfg, ck.records)
+    for i, j in ((1, 1), (1, 2)):
+        ck.run("nilpotency", {"i": i, "j": j, "h": h}, DOCUMENTED,
+               lambda: qa.nilpotency(ctx, i, j))
+
+
+def _growth(ctx, y, j):
+    out = qa.check_growth(ctx, y, j)
+    # the source asserts violations land on zero or another basis
+    # vector; legal growth is proportional with nonzero coefficient
+    if out.prediction == "diagram":
+        ok = out.kind == qa.GROWTH_PROPORTIONAL
+    else:
+        ok = out.kind in (qa.GROWTH_ZERO, qa.GROWTH_IN_SPAN)
+    params = {"prediction": out.prediction, "outcome": out.kind}
+    if out.target is not None:
+        params["target"] = list(out.target.parts)
+    if out.coefficient is not None:
+        params["coefficient"] = out.coefficient.encode()
+    cert = None
+    if out.kind == qa.GROWTH_OUTSIDE:
+        cert = qa.residual_certificate(
+            ctx, qa.apply_Q(j, j, qa.vector_of_diagram(ctx, y)))
+    return ok, {"params": params, "certificate": cert,
+                "sizes": {"max_block_words": ctx.stats["max_block_words"]}}
+
+
+def _commutation(ctx, v, i, j):
+    verdict = qa.check_dynamical_commutation(ctx, v, i, j)
+    if verdict == "vacuous":
+        return SKIPPED, {"detail": "premise vacuous"}
+    return verdict == "pass"
 
 
 # ---------------------------------------------------------------------------
 # check-w
 # ---------------------------------------------------------------------------
 
-def cmd_check_w(cfg):
-    ck = Checker()
+def cmd_check_w(cfg, ck):
     if cfg.generic_q:
-        ck.add(CheckRecord("check_w", {"n": cfg.n, "k": cfg.k}, SKIPPED,
-                           DERIVED, detail="root-of-unity statement"))
-        return _report(cfg, ck.records)
+        ck.run("check_w", {"n": cfg.n, "k": cfg.k}, DERIVED,
+               lambda: (SKIPPED, {"detail": "root-of-unity statement"}))
+        return
     ctx = _context(cfg, generic=False)
     n, k, i = cfg.n, cfg.k, cfg.i
+    params = {"n": n, "k": k, "i": i}
     # the source verifies (3, k<=2, i=2); anything else is exploratory
-    documented = n == 3 and k <= 2 and i == 2
-    prov = DOCUMENTED if documented else EXPLORATORY
+    prov = DOCUMENTED if n == 3 and k <= 2 and i == 2 else EXPLORATORY
 
-    t0 = time.perf_counter()
-    try:
-        v_zero, w_zero = qa.check_hook_vanishing(ctx, i)
-    except BudgetExceeded as e:
-        ck.add(CheckRecord("hook_vanishing", {"n": n, "k": k, "i": i},
-                           BUDGET, prov, detail=str(e)))
-        return _report(cfg, ck.records)
-    dt = time.perf_counter() - t0
+    # the saturated-hook vectors of qa.check_hook_vanishing, built once
     v = qa.hook_backbone(ctx, i)
     v_h = qa.apply_Q(i, i, qa.apply_Q(1, 1, v))
     w_h = qa.apply_Q(1, 1, qa.apply_Q(i, i, v))
-    ck.add(CheckRecord("hook_v_vanishes", {"n": n, "k": k, "i": i},
-                       PASS if v_zero else FAIL, prov, seconds=dt,
-                       certificate=qa.residual_certificate(ctx, v_h)))
-    ck.add(CheckRecord("hook_w_vanishes", {"n": n, "k": k, "i": i},
-                       PASS if w_zero else FAIL, prov, seconds=dt,
-                       certificate=qa.residual_certificate(ctx, w_h),
-                       detail=None if w_zero else
-                       "nonzero in the constructive quotient"))
+    checks = [ck.run("hook_v_vanishes", params, prov,
+                     lambda: _vanishes(ctx, v_h, None)),
+              ck.run("hook_w_vanishes", params, prov,
+                     lambda: _vanishes(ctx, w_h,
+                                       "nonzero in the constructive quotient"))]
+    if any(rec.result == BUDGET for rec in checks):
+        return
 
     # S/A decomposition audit
     ss_v, aa_v = bl.decompose_QQ(i, i, 1, 1, v)
     ss_w, aa_w = bl.decompose_QQ(1, 1, i, i, v)
-    ck.run("hook_v_equals_SS_part", {"n": n, "k": k, "i": i}, DOCUMENTED,
+    ck.run("hook_v_equals_SS_part", params, DOCUMENTED,
            lambda: qa.is_zero_tensor(ctx, v_h - ss_v))
-    ck.run("hook_w_equals_AA_part", {"n": n, "k": k, "i": i}, DOCUMENTED,
+    ck.run("hook_w_equals_AA_part", params, DOCUMENTED,
            lambda: qa.is_zero_tensor(ctx, w_h - aa_w))
-    ck.run("hook_split_sums", {"n": n, "k": k, "i": i}, DOCUMENTED,
+    ck.run("hook_split_sums", params, DOCUMENTED,
            lambda: (v_h - ss_v - aa_v).is_empty()
            and (w_h - ss_w - aa_w).is_empty())
-    ck.run("hook_A_annihilates_backbone", {"n": n, "k": k, "i": i}, DOCUMENTED,
+    ck.run("hook_A_annihilates_backbone", params, DOCUMENTED,
            lambda: all(
                ctx.is_zero_state(bl.apply_bilinear("A", i, 1, a, b,
                                                    _word_state(ctx, w)))
                for w, _ in list(v.terms)[:6]
                for a in range(1, n + 1) for b in range(1, n + 1) if a != b))
-    return _report(cfg, ck.records)
+
+
+def _vanishes(ctx, state, nonzero_detail):
+    """Zero test whose certificate fingerprints a nonzero residual."""
+    cert = qa.residual_certificate(ctx, state)
+    return cert is None, {"certificate": cert,
+                          "detail": None if cert is None else nonzero_detail}
 
 
 # ---------------------------------------------------------------------------
 # cache
 # ---------------------------------------------------------------------------
 
-def cmd_cache(cfg):
-    ck = Checker()
+def cmd_cache(cfg, ck):
     if not cfg.cache_dir:
-        ck.add(CheckRecord("cache", {}, FAIL, DERIVED,
-                           detail="--cache-dir is required"))
-        return _report(cfg, ck.records)
+        ck.run("cache", {}, DERIVED,
+               lambda: (False, {"detail": "--cache-dir is required"}))
+        return
     cache = DiskCache(cfg.cache_dir)
     if cfg.cache_action == "purge":
-        removed = cache.purge()
-        ck.add(CheckRecord("cache_purge", {"removed": removed}, PASS, DERIVED))
-        return _report(cfg, ck.records)
-
+        ck.run("cache_purge", {}, DERIVED,
+               lambda: (True, {"params": {"removed": cache.purge()}}))
+        return
+    validate = cfg.cache_action == "validate"
     for name, data in cache.records():
-        if data is None:
-            if cfg.cache_action == "validate":
-                cache.quarantine(name)
-            ck.add(CheckRecord("cache_record", {"file": name},
-                               FAIL, DERIVED, detail="unreadable; quarantined"
-                               if cfg.cache_action == "validate" else "unreadable"))
-            continue
-        params = {"file": name, "n": data.get("n"), "field": data.get("field"),
-                  "row_content": data.get("row_content"),
-                  "eps": data.get("eps"), "blocks": len(data.get("blocks", {}))}
-        if cfg.cache_action == "list":
-            ck.add(CheckRecord("cache_record", params, PASS, DERIVED))
-            continue
-        ok = _validate_record(data)
-        if not ok:
-            cache.quarantine(name)
-        ck.add(CheckRecord("cache_record", params, PASS if ok else FAIL,
-                           DERIVED, detail=None if ok else "quarantined"))
-    return _report(cfg, ck.records)
+        ck.run("cache_record", {"file": name}, DERIVED,
+               lambda: _cache_record(cache, name, data, validate))
 
 
-def _validate_record(data):
-    try:
-        if data.get("schema") != "qzm-basis/1":
-            return False
-        if data.get("eps") != eps_tag(resolve_eps_sign()):
-            return False
-        field_tag = data["field"]
-        n = data["n"]
-        if field_tag == "generic":
-            ctx = make_context(n, generic=True)
-        else:
-            h = int(field_tag.split(":")[1])
-            ctx = make_context(n, h - n)
-        ctx.disk_cache = None
-        rc = tuple(data["row_content"])
-        for fc_key in sorted(data["blocks"])[:1]:
-            fc = tuple(int(x) for x in fc_key.split(","))
-            from .cache import _decode_block
-            bb = _decode_block(ctx, (rc, fc), data["blocks"][fc_key])
-            ctx._blocks[(rc, fc)] = bb
-            # re-reduce a sampled instance through the cached data
-            count = 0
-            for inst in ctx.relation_instances(rc, fc):
-                st = ChiralState(ctx.field, n, terms=inst.terms)
-                words_ok = all(word_is_dead(n, ctx.h, w) or w in bb.index
-                               for w in inst.terms)
-                if not words_ok:
-                    continue
-                if not ctx.is_zero_state(st):
-                    return False
-                count += 1
-                if count >= 5:
-                    break
-        return True
-    except Exception:
-        return False
+def _cache_record(cache, name, data, validate):
+    """List one family file, or validate it and quarantine it if bad."""
+    if data is None:
+        ok, extras = False, {"detail": "unreadable"}
+    else:
+        ok = not validate or cache.validate(data)
+        extras = {"params": {
+            "n": data.get("n"), "field": data.get("field"),
+            "row_content": data.get("row_content"), "eps": data.get("eps"),
+            "blocks": len(data.get("blocks", {}))}}
+    if validate and not ok:
+        cache.quarantine(name)
+        extras["detail"] = ("unreadable; quarantined" if data is None
+                            else "quarantined")
+    return ok, extras
 
 
 # ---------------------------------------------------------------------------
@@ -619,27 +510,17 @@ def build_parser():
     p.add_argument("--i", type=int, default=2, help="hook row index")
     p = sub.add_parser("cache")
     p.add_argument("cache_action", choices=["list", "validate", "purge"])
+    p.set_defaults(n=None, k=None, generic_q=False)
     _add_common(p, need_nk=False)
     return ap
 
 
 def run(argv=None):
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        n=getattr(args, "n", None),
-        k=getattr(args, "k", None),
-        generic_q=getattr(args, "generic_q", False),
-        budget=args.budget,
-        samples=args.samples,
-        seed=args.seed,
-        cache_dir=args.cache_dir,
-        format=args.format,
-        out=args.out,
-        i=getattr(args, "i", None),
-        cache_action=getattr(args, "cache_action", None),
-    )
-    report = COMMANDS[args.command](cfg)
+    cfg = build_parser().parse_args(argv)
+    cfg.h = None if cfg.n is None else cfg.n + cfg.k
+    ck = Checker()
+    COMMANDS[cfg.command](cfg, ck)
+    report = Report(__version__, eps_tag(EPS_SIGN), _echo(cfg), ck.records)
     if cfg.format == "json":
         payload = report.to_json()
     elif cfg.format == "csv":

@@ -47,6 +47,17 @@ TEMPLATE_POWER = "h_power"              # R4
 TEMPLATE_DET = "determinant"            # R5
 TEMPLATE_VACUUM = "vacuum"              # R6
 
+# The quantum flavor symbol is eps(sigma) = (-q)^{EPS_SIGN * inversions}.
+# Both signs are consistent (they are q <-> q^{-1} mirrors, see the tests);
+# -1 keeps every structure constant in Z[q], where the +1 mirror forces
+# rational denominators like [2]/2q into determinant-class reductions.
+EPS_SIGN = -1
+
+
+def eps_tag(sign):
+    """The convention tag recorded in reports and cache headers."""
+    return f"qeps{sign:+d}"
+
 
 @dataclass(frozen=True)
 class Letter:

@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import diagrams as dg
-from .basis import DEFAULT_BUDGET, FockContext, RelationInconsistency
-from .fock import letter_code, word_row_content
+from .basis import RelationInconsistency
+from .fock import EPS_SIGN, letter_code, word_row_content
 from .scalars import UsageError
 
 
@@ -352,63 +352,6 @@ def nilpotency(ctx, i, j):
     return is_zero_tensor(ctx, apply_Q_power(i, j, ctx.h, tensor_vacuum(ctx)))
 
 
-# ---------------------------------------------------------------------------
-# epsilon convention calibration
-# ---------------------------------------------------------------------------
-
-_RESOLVED_EPS = None
-
-
-def _calibration_passes(sign):
-    try:
-        ctx = FockContext(2, 1, eps_sign=sign)
-        ctx.block_basis((1, 1), (1, 1))
-        res = fprime_dimension(ctx)
-        if res.dimension != 3 or not all(r.nonzero for r in res.records):
-            return False
-        ctx3 = FockContext(3, 1, eps_sign=sign)
-        ctx3.block_basis((1, 1, 1), (1, 1, 1))
-        if not check_offdiagonal_annihilation(ctx3, dg.YoungDiagram(3, (1,))):
-            return False
-        out = check_growth(ctx3, dg.YoungDiagram(3, (1, 1)), 3)
-        if out.kind == GROWTH_OUTSIDE:
-            return False
-    except RelationInconsistency:
-        return False
-    return True
-
-
 def resolve_eps_sign():
-    """Pin the quantum epsilon normalization (-q)^{sign * inversions}.
-
-    Both signs pass the calibration suite (vacuum survival, the n=2
-    dimension count, n=3 off-diagonal annihilation and growth sanity);
-    they are mirror conventions.  -1 is tried first and wins: it keeps
-    every structure constant in Z[q] (the +1 mirror produces rational
-    denominators like [2]/2q in determinant-class reductions, which are
-    both unnatural for a root-of-unity algebra and slower to eliminate).
-    Memoized; the resolved tag is recorded in reports and cache headers.
-    """
-    global _RESOLVED_EPS
-    if _RESOLVED_EPS is None:
-        for sign in (-1, 1):
-            if _calibration_passes(sign):
-                _RESOLVED_EPS = sign
-                break
-        else:
-            raise RelationInconsistency(
-                "no quantum epsilon convention passes calibration")
-    return _RESOLVED_EPS
-
-
-def eps_tag(sign):
-    return f"qeps{sign:+d}"
-
-
-def make_context(n, k=None, *, generic=False, budget=DEFAULT_BUDGET,
-                 disk_cache=None, eps_sign=None):
-    """Build a FockContext with the calibrated epsilon convention."""
-    if eps_sign is None:
-        eps_sign = resolve_eps_sign()
-    return FockContext(n, k, generic=generic, eps_sign=eps_sign,
-                       budget=budget, disk_cache=disk_cache)
+    """The pinned quantum epsilon sign, EPS_SIGN (see qzm.fock)."""
+    return EPS_SIGN

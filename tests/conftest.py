@@ -1,13 +1,13 @@
 import pytest
 
 from qzm.basis import FockContext
-from qzm.qalgebra import resolve_eps_sign
+from qzm.fock import EPS_SIGN
 from qzm.scalars import GENERIC, ROOT, make_field
 
 
 @pytest.fixture(scope="session")
 def eps_sign():
-    return resolve_eps_sign()
+    return EPS_SIGN
 
 
 @pytest.fixture(scope="session")

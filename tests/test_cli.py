@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -134,6 +136,42 @@ def test_cache_quarantines_wrong_convention(tmp_path):
     assert ctx2.stats["blocks_built"] == 1
 
 
+def test_cache_validate_checks_every_block(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    run_cmd(["fprime", "--n", "2", "--k", "2", "--cache-dir", cache_dir],
+            tmp_path, name="fill")
+    # change one tail scalar in a block other than the first of its family
+    name = next(f for f, d in DiskCache(cache_dir).records()
+                if d["row_content"] == [2, 1])
+    path = os.path.join(cache_dir, name)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert sorted(data["blocks"]).index("1,2") > 0
+    _, tail = data["blocks"]["1,2"]["rows"][0]
+    tail[0][1][0] = str(Fraction(tail[0][1][0]) + 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    recs = {c["params"]["file"]: c for c in report["checks"]}
+    assert recs[name]["result"] == "fail"
+    assert recs[name]["detail"] == "quarantined"
+    assert os.path.exists(path + ".quarantined")
+    assert all(r["result"] == "pass" for f, r in recs.items() if f != name)
+
+
+def test_cache_validate_quarantines_non_object_record(tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "bad.json").write_text("[1, 2]")
+    code, report = run_cmd(["cache", "validate", "--cache-dir", str(cache_dir)],
+                           tmp_path, name="val")
+    [rec] = report["checks"]
+    assert rec["result"] == "fail"
+    assert rec["detail"] == "unreadable; quarantined"
+    assert (cache_dir / "bad.json.quarantined").exists()
+
+
 def test_cache_purge(tmp_path):
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 1, eps_sign=resolve_eps_sign(),
@@ -152,3 +190,23 @@ def test_exploratory_runs_never_fail_exit(tmp_path):
     assert code == 0
     names = {c["name"]: c for c in report["checks"]}
     assert names["hook_w_vanishes"]["provenance"] == "exploratory"
+
+
+def _benchmark_golden():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "golden.py")
+    spec = importlib.util.spec_from_file_location("perfbench_golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    return golden
+
+
+@pytest.mark.parametrize("key", ["fprime_n2k2", "fprime_n3k1", "checkw_n3k1"])
+def test_reports_match_benchmark_golden(key, tmp_path):
+    """Verdicts and their digest match the benchmark's golden record."""
+    golden = _benchmark_golden()
+    entry = golden.load()[key]
+    code, report = run_cmd(entry["argv"], tmp_path)
+    mismatches, digest_mismatch = golden.compare(entry, 1, code, report)
+    assert mismatches == 0
+    assert not digest_mismatch
