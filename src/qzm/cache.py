@@ -1,16 +1,20 @@
 """On-disk cache of quotient-basis records.
 
-One JSON file per class family, named by a stable hash of the key
-(n, field, chirality, row content); a block record per flavor content is
-merged into the family file as blocks get computed.  Every file carries a
-versioned header including the epsilon-convention tag; files whose header
-does not match the requesting context are ignored on load and quarantined
-by validation, which also re-reduces a sample of relation instances through
-every stored block.  Writes are atomic (temp file, then rename).  Barred
-classes satisfy the same relations as unbarred ones in (row, flavor)
-terms, so records are stored once under chirality "unbarred".
+One JSON file per (row content, flavor content) block, named by a stable
+hash of the block's full key (n, field, chirality, row content, flavor
+content).  Every file carries a versioned header naming that key and the
+epsilon-convention tag beside the block record; files whose header does
+not match the requesting context are ignored on load and quarantined by
+validation, which also re-reduces every relation instance of the block
+chain through the stored echelon form.  A record that cannot be read or
+decoded is a miss, so the block is rebuilt.
 
-A human-readable ``index.txt`` maps file hashes back to keys.
+Writes are atomic (temp file, then rename) and nothing is merged, so
+processes sharing a directory lose no blocks: writers of different blocks
+touch different files, and writers of the same block write identical bytes,
+since the echelon form is unique for a given span and word order.  Barred
+classes satisfy the same relations as unbarred ones in (row, flavor) terms,
+so records are stored once under chirality "unbarred".
 """
 
 from __future__ import annotations
@@ -24,17 +28,18 @@ from .basis import BlockBasis, FockContext
 from .fock import (eps_tag, word_from_letters, word_is_dead, word_letters,
                    word_sort_key)
 
-SCHEMA = "qzm-basis/1"
-VALIDATE_SAMPLES = 5    # relation instances re-reduced per stored block
+SCHEMA = "qzm-basis/2"
 
 
-def _canon_key(n, field_tag, row_content):
+def _canon_key(n, field_tag, block_key):
+    row_content, flavor_content = block_key
     return {
         "schema": SCHEMA,
         "n": n,
         "field": field_tag,
         "chirality": "unbarred",
         "row_content": list(row_content),
+        "flavor_content": list(flavor_content),
     }
 
 
@@ -90,28 +95,33 @@ def _decode_block(ctx, key, record):
     return BlockBasis(key, words, index, rref, record["total_words"])
 
 
-def _sample_reduces_to_zero(ctx, bb):
-    """The first VALIDATE_SAMPLES relation instances of the block chain that
-    touch a live word reduce to zero through the block's echelon form alone
-    (every live word of the chain is a basis or a pivot word of the block)."""
+def _reduces_to_zero(ctx, bb):
+    """Every relation instance of the block chain reduces to zero through the
+    block's echelon form alone (every live word of the chain is a basis or a
+    pivot word of the block)."""
     n, h = ctx.n, ctx.h
-    count = 0
     for inst in ctx.relation_instances(*bb.key):
-        live = [(w, c) for w, c in inst.terms.items()
-                if not word_is_dead(n, h, w)]
-        if not live:
-            continue
         acc = {}
-        for w, c in live:
+        for w, c in inst.terms.items():
+            if word_is_dead(n, h, w):
+                continue
             for fw, s in bb.reduce_word(w):
                 cs = c if s is None else c * s
                 acc[fw] = acc[fw] + cs if fw in acc else cs
         if any(not v.is_zero() for v in acc.values()):
             return False
-        count += 1
-        if count == VALIDATE_SAMPLES:
-            break
     return True
+
+
+def _read_json(path):
+    """The JSON object a file holds, or None when the file cannot be read or
+    does not hold an object."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except (OSError, ValueError):
+        return None
+    return data if isinstance(data, dict) else None
 
 
 class DiskCache:
@@ -119,43 +129,24 @@ class DiskCache:
         self.directory = directory
         os.makedirs(directory, exist_ok=True)
 
-    def _family_path(self, key):
+    def _path(self, key):
         return os.path.join(self.directory, _key_hash(key) + ".json")
 
-    def _read_family(self, ctx, row_content):
-        key = _canon_key(ctx.n, ctx.field.tag(), row_content)
-        path = self._family_path(key)
-        if not os.path.exists(path):
-            return key, path, None
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return key, path, None
-        if not _header_ok(ctx, key, data):
-            return key, path, None
-        return key, path, data
-
     def load_block(self, ctx, block_key):
-        row_content, flavor_content = block_key
-        _, _, data = self._read_family(ctx, row_content)
-        if data is None:
+        key = _canon_key(ctx.n, ctx.field.tag(), block_key)
+        data = _read_json(self._path(key))
+        if data is None or not _header_ok(ctx, key, data):
             return None
-        record = data["blocks"].get(",".join(map(str, flavor_content)))
-        if record is None:
-            return None
-        return _decode_block(ctx, block_key, record)
+        try:
+            return _decode_block(ctx, block_key, data["block"])
+        except (KeyError, IndexError, TypeError, ValueError, ArithmeticError):
+            return None     # malformed record: a miss, so the block is rebuilt
 
     def store_block(self, ctx, block_key, bb):
-        row_content, flavor_content = block_key
-        key, path, data = self._read_family(ctx, row_content)
-        if data is None:
-            data = dict(key)
-            data["eps"] = eps_tag(ctx.eps_sign)
-            data["blocks"] = {}
-        data["blocks"][",".join(map(str, flavor_content))] = _encode_block(ctx, bb)
-        self._atomic_write(path, data)
-        self._update_index(key)
+        key = _canon_key(ctx.n, ctx.field.tag(), block_key)
+        data = dict(key, eps=eps_tag(ctx.eps_sign),
+                    block=_encode_block(ctx, bb))
+        self._atomic_write(self._path(key), data)
 
     def _atomic_write(self, path, data):
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
@@ -168,23 +159,12 @@ class DiskCache:
                 os.unlink(tmp)
             raise
 
-    def _update_index(self, key):
-        path = os.path.join(self.directory, "index.txt")
-        line = f"{_key_hash(key)}  {json.dumps(key, sort_keys=True)}\n"
-        existing = ""
-        if os.path.exists(path):
-            with open(path, encoding="utf-8") as fh:
-                existing = fh.read()
-        if line not in existing:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line)
-
     # -- maintenance ---------------------------------------------------------
 
     def validate(self, data):
-        """True when a family record matches this version and the pinned
-        convention, and a sample of relation instances of every block
-        reduces to zero through the stored data.
+        """True when a block record matches this version and the pinned
+        convention, and every relation instance of its block chain reduces
+        to zero through the stored data.
 
         Malformed data reads as invalid; any other error propagates.
         """
@@ -192,33 +172,22 @@ class DiskCache:
             n, field = data["n"], data["field"]
             ctx = (FockContext(n, generic=True) if field == "generic"
                    else FockContext(n, int(field.split(":")[1]) - n))
-            rc = tuple(data["row_content"])
-            if not _header_ok(ctx, _canon_key(n, ctx.field.tag(), rc), data):
+            block_key = (tuple(data["row_content"]),
+                         tuple(data["flavor_content"]))
+            if not _header_ok(ctx, _canon_key(n, ctx.field.tag(), block_key),
+                              data):
                 return False
-            for fc_key, record in sorted(data["blocks"].items()):
-                fc = tuple(int(x) for x in fc_key.split(","))
-                bb = _decode_block(ctx, (rc, fc), record)
-                if not _sample_reduces_to_zero(ctx, bb):
-                    return False
-            return True
+            bb = _decode_block(ctx, block_key, data["block"])
+            return _reduces_to_zero(ctx, bb)
         except (KeyError, IndexError, TypeError, ValueError, ArithmeticError):
             return False
 
     def records(self):
         """(file name, parsed record) pairs; the record is None when the
         file cannot be read or does not hold a JSON object."""
-        out = []
-        for name in sorted(os.listdir(self.directory)):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    data = json.load(fh)
-            except (OSError, ValueError):
-                data = None
-            out.append((name, data if isinstance(data, dict) else None))
-        return out
+        return [(name, _read_json(os.path.join(self.directory, name)))
+                for name in sorted(os.listdir(self.directory))
+                if name.endswith(".json")]
 
     def quarantine(self, name):
         src = os.path.join(self.directory, name)
@@ -227,6 +196,7 @@ class DiskCache:
     def purge(self):
         removed = 0
         for name in list(os.listdir(self.directory)):
+            # index.txt is left over from the one-file-per-family layout
             if name.endswith(".json") or name.endswith(".quarantined") \
                     or name == "index.txt":
                 os.unlink(os.path.join(self.directory, name))

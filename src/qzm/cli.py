@@ -14,7 +14,7 @@ import sys
 import time
 
 from . import __version__, bilinears as bl, diagrams as dg, qalgebra as qa
-from .basis import BudgetExceeded, DEFAULT_BUDGET, FockContext
+from .basis import BudgetExceeded, DEFAULT_BUDGET, FockContext, _compositions
 from .cache import DiskCache
 from .fock import (EPS_SIGN, ChiralState, class_words, determinant_rows,
                    eps_tag, word_is_dead)
@@ -167,18 +167,7 @@ def _encode_roundtrip(f, rng, samples):
 # ---------------------------------------------------------------------------
 
 def _sweep_contents(n, max_letters):
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c], remaining - c, slots - 1)
-
-    for total in range(1, max_letters + 1):
-        rec([], total, n)
-    return [c for c in out if sum(c) >= 1]
+    return [c for t in range(1, max_letters + 1) for c in _compositions(t, n)]
 
 
 def _random_word(ctx, rng, letters=RANDOM_WORD_LETTERS):
@@ -203,8 +192,8 @@ def _instances_all_zero(ctx, rc, fc):
 
 def _sweep_all_zero(ctx, contents):
     bad = [(rc, fc) for rc in contents
-           for fc in _sweep_contents(ctx.n, sum(rc))
-           if sum(fc) == sum(rc) and not _instances_all_zero(ctx, rc, fc)]
+           for fc in _compositions(sum(rc), ctx.n)
+           if not _instances_all_zero(ctx, rc, fc)]
     detail = f"nonzero instances in {bad[:3]}" if bad else None
     return not bad, {"sizes": {"families": len(contents)}, "detail": detail}
 
@@ -454,15 +443,16 @@ def cmd_cache(cfg, ck):
 
 
 def _cache_record(cache, name, data, validate):
-    """List one family file, or validate it and quarantine it if bad."""
+    """List one block file, or validate it and quarantine it if bad."""
     if data is None:
         ok, extras = False, {"detail": "unreadable"}
     else:
         ok = not validate or cache.validate(data)
         extras = {"params": {
             "n": data.get("n"), "field": data.get("field"),
-            "row_content": data.get("row_content"), "eps": data.get("eps"),
-            "blocks": len(data.get("blocks", {}))}}
+            "row_content": data.get("row_content"),
+            "flavor_content": data.get("flavor_content"),
+            "eps": data.get("eps")}}
     if validate and not ok:
         cache.quarantine(name)
         extras["detail"] = ("unreadable; quarantined" if data is None

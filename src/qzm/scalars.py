@@ -413,70 +413,30 @@ class RootScalar:
             qinv = fs.q_power(-k)
             num = tuple(x * self.den for x in qinv.num)
             return _make_root(fs, num, qinv.den * self.num[k])
-        # extended Euclid in Q[x] modulo Phi_{2h}
-        a = [Fraction(c, self.den) for c in self.num]
-        m = [Fraction(c) for c in fs.modulus]
-        old_r, r = _ftrim(a), _ftrim(m)
-        old_s, s = [Fraction(1)], []
-        while r:
-            q, rem = _fdivmod(old_r, r)
-            old_r, r = r, rem
-            old_s, s = s, _fsub(old_s, _fmul(q, s))
-        if len(old_r) != 1:
-            raise FieldError("non-invertible element (modulus not coprime)")
-        c = old_r[0]
-        inv = [x / c for x in old_s]
-        inv += [Fraction(0)] * (fs.degree - len(inv))
-        den = 1
-        for f in inv:
-            den = den * f.denominator // gcd(den, f.denominator)
-        num = tuple(int(f * den) for f in inv)
-        return _make_root(fs, num, den)
+        # Galois norm: a^-1 = den * P / N with P the product of sigma_j(num)
+        # over the units j != 1 mod 2h (sigma_j maps q to q^j), and
+        # N = num * P the rational norm of num
+        d, m = fs.degree, 2 * fs.h
+        conj = fs.one
+        for j in range(3, m, 2):
+            if gcd(j, m) == 1:
+                s = [0] * d
+                for i in nz:
+                    c = self.num[i]
+                    for t, x in enumerate(fs.q_power(i * j).num):
+                        if x:
+                            s[t] += c * x
+                conj = conj * RootScalar(fs, tuple(s), 1)
+        norm = (RootScalar(fs, self.num, 1) * conj).num
+        if any(norm[1:]) or not norm[0]:
+            raise FieldError("non-invertible element (norm not rational)")
+        return _make_root(fs, tuple(x * self.den for x in conj.num), norm[0])
 
     def __truediv__(self, other):
         return self * other.invert()
 
     def encode(self):
         return [f"{Fraction(c, self.den)}" for c in self.num]
-
-
-def _ftrim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fsub(a, b):
-    n = max(len(a), len(b))
-    a = a + [Fraction(0)] * (n - len(a))
-    b = b + [Fraction(0)] * (n - len(b))
-    return _ftrim([x - y for x, y in zip(a, b)])
-
-
-def _fmul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ftrim(out)
-
-
-def _fdivmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lb = b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] / lb
-        k = len(a) - len(b)
-        q[k] = c
-        for j, bj in enumerate(b):
-            a[k + j] -= c * bj
-        a = _ftrim(a)
-    return _ftrim(q), a
 
 
 # ---------------------------------------------------------------------------

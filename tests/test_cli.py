@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import multiprocessing
 import os
 from fractions import Fraction
 
@@ -42,6 +43,10 @@ def test_verify_algebra_cmd(tmp_path):
     assert report["summary"]["fail"] == 0
     modes = {c["params"].get("mode") for c in report["checks"]}
     assert modes == {"root", "generic"}
+    # each of the 14 row contents of 1..4 letters is swept once per mode
+    sweeps = [c for c in report["checks"]
+              if c["name"] == "relation_instances_all_zero"]
+    assert [c["sizes"]["families"] for c in sweeps] == [14, 14]
 
 
 def test_fprime_cmd_n2(tmp_path):
@@ -98,7 +103,8 @@ def test_cache_roundtrip_and_validate(tmp_path):
     assert ctx2.stats["blocks_loaded"] == 1
     assert bb2.basis_words == bb.basis_words
     assert bb2.rref.keys() == bb.rref.keys()
-    assert os.path.exists(os.path.join(cache_dir, "index.txt"))
+    files = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
+    assert len(files) == ctx.stats["blocks_built"] == 1
 
     code, report = run_cmd(["cache", "list", "--cache-dir", cache_dir],
                            tmp_path, name="list")
@@ -140,24 +146,107 @@ def test_cache_validate_checks_every_block(tmp_path):
     cache_dir = str(tmp_path / "cache")
     run_cmd(["fprime", "--n", "2", "--k", "2", "--cache-dir", cache_dir],
             tmp_path, name="fill")
-    # change one tail scalar in a block other than the first of its family
+    # change one tail scalar in one block file
     name = next(f for f, d in DiskCache(cache_dir).records()
-                if d["row_content"] == [2, 1])
+                if d["row_content"] == [2, 1] and d["flavor_content"] == [1, 2])
     path = os.path.join(cache_dir, name)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    assert sorted(data["blocks"]).index("1,2") > 0
-    _, tail = data["blocks"]["1,2"]["rows"][0]
+    _, tail = data["block"]["rows"][0]
     tail[0][1][0] = str(Fraction(tail[0][1][0]) + 1)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh)
     code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
                            tmp_path, name="val")
     recs = {c["params"]["file"]: c for c in report["checks"]}
+    assert len(recs) > 1
     assert recs[name]["result"] == "fail"
     assert recs[name]["detail"] == "quarantined"
     assert os.path.exists(path + ".quarantined")
     assert all(r["result"] == "pass" for f, r in recs.items() if f != name)
+
+
+def _only_block_file(cache_dir):
+    [name] = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
+    return os.path.join(cache_dir, name)
+
+
+@pytest.mark.parametrize("damage", ["record_without_basis", "truncated"])
+def test_malformed_block_file_is_rebuilt(tmp_path, damage):
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    bb = ctx.block_basis((2, 1), (2, 1))
+    path = _only_block_file(cache_dir)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    if damage == "truncated":
+        text = text[:len(text) // 2]
+    else:
+        data = json.loads(text)
+        del data["block"]["basis"]
+        text = json.dumps(data)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    bb2 = ctx2.block_basis((2, 1), (2, 1))
+    assert ctx2.stats["blocks_loaded"] == 0
+    assert ctx2.stats["blocks_built"] == 1
+    assert bb2.basis_words == bb.basis_words
+    # the rebuild rewrote the file, so the next context loads it
+    ctx3 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    assert ctx3.block_basis((2, 1), (2, 1)).basis_words == bb.basis_words
+    assert ctx3.stats["blocks_loaded"] == 1
+
+
+def test_old_family_file_ignored_and_quarantined(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
+    ctx.block_basis((1, 1), (1, 1))
+    path = _only_block_file(cache_dir)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    # the same block in the family layout of schema qzm-basis/1
+    old = {k: data[k] for k in ("n", "field", "chirality", "row_content",
+                                "eps")}
+    old.update(schema="qzm-basis/1", blocks={"1,1": data["block"]})
+    for name in (os.path.basename(path), "0123456789abcdef.json"):
+        with open(os.path.join(cache_dir, name), "w", encoding="utf-8") as fh:
+            json.dump(old, fh)
+    ctx2 = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
+    ctx2.block_basis((1, 1), (1, 1))
+    assert ctx2.stats["blocks_loaded"] == 0
+    assert ctx2.stats["blocks_built"] == 1
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    recs = {c["params"]["file"]: c["result"] for c in report["checks"]}
+    assert recs == {os.path.basename(path): "pass",
+                    "0123456789abcdef.json": "fail"}
+    assert os.path.exists(os.path.join(cache_dir,
+                                       "0123456789abcdef.json.quarantined"))
+
+
+def _store_blocks(cache_dir, flavor_contents):
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    for fc in flavor_contents:
+        ctx.block_basis((2, 1), fc)
+
+
+def test_two_processes_share_a_cache_dir(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    os.makedirs(cache_dir)
+    halves = ([(0, 3), (2, 1)], [(1, 2), (3, 0)])
+    mp = multiprocessing.get_context("spawn")
+    procs = [mp.Process(target=_store_blocks, args=(cache_dir, half))
+             for half in halves]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    assert [p.exitcode for p in procs] == [0, 0]
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    ctx.family_basis((2, 1))
+    assert ctx.stats["blocks_built"] == 0
+    assert ctx.stats["blocks_loaded"] == 4
 
 
 def test_cache_validate_quarantines_non_object_record(tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -133,6 +134,18 @@ def test_inverse_and_roundtrip_h6(a):
     assert f.decode(a.encode()) == a
     if not a.is_zero():
         assert a * a.invert() == f.one
+
+
+@pytest.mark.parametrize("h", list(range(3, 12)))
+def test_inverse_dense_seeded(h):
+    f = make_field(ROOT, h)
+    rng = random.Random(h)
+    for _ in range(30):
+        den = rng.randint(1, 9)
+        a = f.decode([str(Fraction(rng.randint(-9, 9), den))
+                      for _ in range(f.degree)])
+        if not a.is_zero():
+            assert a * a.invert() == f.one
 
 
 @settings(max_examples=40, deadline=None)
