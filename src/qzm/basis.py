@@ -6,18 +6,26 @@ one letter of each row and flavor removed.  A *block* is such a class
 together with its determinant-linked descendants; blocks are eliminated
 independently, which is what keeps desk-scale runs cheap.
 
-Elimination is incremental Gauss-Jordan over the exact scalar field.  The
-reduced row echelon form (and hence every quotient basis and reduction) is
-uniquely determined by the relation span and the word order, so the result
-is reproducible bit for bit no matter how rows are streamed in; rows are
-still inserted sparsest-first for speed.  Words killed outright by the
-vacuum-annihilation and h-th power rows are handled by an O(1) predicate
-instead of explicit one-term pivot rows -- same echelon form, far fewer
-columns.
+The columns of a block are commutation classes, not words.  R2 (rows
+differ, same flavor) and R3 (same row, flavors differ) make the words of
+one content a partially commutative (trace) monoid: every word is a unit
+q^E times its class's representative, so each live class is one column and
+the two-term rows are never streamed.  A class dies with any of its words
+that the vacuum-annihilation or h-th power rows kill outright (an O(1)
+predicate, in place of one-term pivot rows).  The three-term exchange rows
+and the determinant rows are mapped term by term onto columns, exact
+duplicate rows are dropped, and the rest go through incremental
+Gauss-Jordan over the exact scalar field.
 
 The word order eliminates longer words toward shorter ones (so determinant
 chains rewrite downward and the vacuum stays a basis word); within one
-length it compares letter sequences right to left.
+length it compares letter sequences right to left.  A class's
+representative is its last word in that order, the one word of the class
+that word-level elimination would leave free, so quotient bases and every
+word's reduction are the same as eliminating all relation instances over
+all words.  The reduced row echelon form is uniquely determined by the
+relation span and the column order, so results are reproducible bit for
+bit no matter how rows are streamed in.
 
 Barred classes satisfy identical templates in (row, flavor) terms, so
 block bases are shared between chiralities.
@@ -146,30 +154,115 @@ def _insert_row(row, rref, containing):
     return lead
 
 
+def commutation_classes(n, h, words):
+    """Group one chain level's words into R2/R3 commutation classes.
+
+    Two adjacent letters that share exactly one of row or flavor commute up
+    to a unit: R2 swaps them with factor 1, R3 (same row) with q^eps.  A
+    weighted union-find over these swaps writes each word as w = q^E rep,
+    where rep is the class's last word in ``words`` (the elimination
+    order), the one word of the class that elimination leaves free.  A
+    class is dead when one of its words is ``word_is_dead``, or when two
+    paths give a word different exponents (compared mod 2h in root mode):
+    then (q^a - q^b) rep = 0 forces rep = 0.
+
+    Returns (reps, where, conflicts): the live classes' reps in order, a
+    map from each word that is not ``word_is_dead`` to its (rep, E), or to
+    None when its class is dead, and the number of classes a disagreeing
+    cycle killed.
+    """
+    index = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
+    pot = [0] * len(words)          # words[i] = q^pot[i] * words[parent[i]]
+    killed = [word_is_dead(n, h, w) for w in words]
+    dead = killed[:]                # per root: the class is dead
+    period = None if h is None else 2 * h
+    conflicts = 0
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        e = 0
+        for j in reversed(path):
+            e += pot[j]
+            pot[j] = e
+            parent[j] = i
+        return i, e
+
+    for i, w in enumerate(words):
+        for p in range(len(w) - 1):
+            x, y = w[p], w[p + 1]
+            # each swap once, from the word with the larger letter left;
+            # then a same-row swap has eps = +1
+            if x <= y or (x // n == y // n) == (x % n == y % n):
+                continue
+            j = index[w[:p] + bytes((y, x)) + w[p + 2:]]
+            e = int(x // n == y // n)           # words[i] = q^e words[j]
+            ri, ei = find(i)
+            rj, ej = find(j)
+            d = e + ej - ei                     # root ri = q^d root rj
+            if ri == rj:
+                if d if period is None else d % period:
+                    conflicts += not dead[ri]
+                    dead[ri] = True
+            elif ri < rj:                       # the later word stays root
+                parent[ri], pot[ri] = rj, d
+                dead[rj] = dead[rj] or dead[ri]
+            else:
+                parent[rj], pot[rj] = ri, -d
+                dead[ri] = dead[ri] or dead[rj]
+
+    where = {}
+    for i, w in enumerate(words):
+        if not killed[i]:
+            r, e = find(i)
+            where[w] = None if dead[r] else (words[r], e)
+    reps = [w for i, w in enumerate(words) if parent[i] == i and not dead[i]]
+    return reps, where, conflicts
+
+
 class BlockBasis:
-    """Reduction data for one (row content, flavor content) block chain."""
+    """Reduction data for one (row content, flavor content) block chain.
 
-    __slots__ = ("key", "words", "index", "rref", "total_words", "live_words",
-                 "basis_words", "dim")
+    Columns are the live commutation classes, named by their reps in
+    elimination order.  ``where`` maps every word of a live class to
+    (column, exponent E) with w = q^E rep; ``rref`` maps a pivot column to
+    its tail {column: Scalar} over free columns.  ``live_words`` counts the
+    words that are not ``word_is_dead``, dead classes included.
+    """
 
-    def __init__(self, key, words, index, rref, total_words):
+    __slots__ = ("key", "field", "columns", "where", "rref", "total_words",
+                 "live_words", "basis_words", "dim")
+
+    def __init__(self, key, field, columns, where, rref, total_words,
+                 live_words):
         self.key = key
-        self.words = words
-        self.index = index
+        self.field = field
+        self.columns = columns
+        self.where = where
         self.rref = rref
         self.total_words = total_words
-        self.live_words = len(words)
-        self.basis_words = [w for w in words if index[w] not in rref]
+        self.live_words = live_words
+        self.basis_words = [w for j, w in enumerate(columns) if j not in rref]
         self.dim = len(self.basis_words)
 
     def reduce_word(self, w):
-        """The word as a combination of basis words: tuple of (word, Scalar)."""
-        idx = self.index[w]
-        tail = self.rref.get(idx)
+        """The word as a combination of basis words: tuple of (word, Scalar),
+        a None scalar meaning one; () for a word of a dead class."""
+        loc = self.where.get(w)
+        if loc is None:
+            return ()
+        j, e = loc
+        tail = self.rref.get(j)
+        unit = self.field.q_power(e) if e else None
         if tail is None:
-            return ((w, None),)          # None marks coefficient one
-        words = self.words
-        return tuple((words[t], s) for t, s in tail.items())
+            return ((self.columns[j], unit),)
+        cols = self.columns
+        if unit is None:
+            return tuple((cols[t], s) for t, s in tail.items())
+        return tuple((cols[t], s * unit) for t, s in tail.items())
 
 
 def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
@@ -179,42 +272,60 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
     if total > budget:
         raise BudgetExceeded(key, total, budget)
 
-    words = []
-    index = {}
     level_words = _level_words(n, levels)
+    columns = []
+    where = {}
+    live = 0
     for ws in level_words:
-        for w in ws:
-            if not word_is_dead(n, h, w):
-                index[w] = len(words)
-                words.append(w)
+        reps, classes, _ = commutation_classes(n, h, ws)
+        live += len(classes)
+        col = {}
+        for rep in reps:
+            col[rep] = len(columns)
+            columns.append(rep)
+        for w, loc in classes.items():
+            if loc is not None:
+                where[w] = (col[loc[0]], loc[1])
 
     rref = {}
     containing = {}
+    seen = set()
+    scaled = {}         # (c, e) -> c q^e: rows draw on few coefficients
 
     def insert_instances(instances):
         for inst in instances:
             row = {}
             for w, c in inst.terms.items():
-                j = index.get(w)
-                if j is not None and not c.is_zero():
-                    v = row.get(j)
-                    row[j] = c if v is None else v + c
+                loc = where.get(w)
+                if loc is None or c.is_zero():
+                    continue
+                j, e = loc
+                if e:
+                    ce = scaled.get((c, e))
+                    if ce is None:
+                        ce = scaled[c, e] = c * field.q_power(e)
+                    c = ce
+                v = row.get(j)
+                row[j] = c if v is None else v + c
             row = {j: c for j, c in row.items() if not c.is_zero()}
             if row:
-                _insert_row(row, rref, containing)
+                sig = frozenset(row.items())
+                if sig not in seen:
+                    seen.add(sig)
+                    _insert_row(row, rref, containing)
 
-    # two-term exchange rows first, then three-term, then determinant links
+    # three-term exchange rows, then determinant links; the two-term R2/R3
+    # rows hold by construction of the columns
     for ws in level_words:
-        insert_instances(exchange_rows(field, n, h, ws, dedupe=True, mode="short"))
-    for ws in level_words:
-        insert_instances(exchange_rows(field, n, h, ws, dedupe=True, mode="long"))
+        insert_instances(exchange_rows(field, n, h, ws, mode="long"))
     for ws in level_words[1:]:
         insert_instances(determinant_rows(field, n, h, eps_sign, ws, prune=True))
 
-    if b"" in index and index[b""] in rref:
+    vac = where.get(b"")
+    if vac is not None and vac[0] in rref:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")
-    return BlockBasis(key, words, index, rref, total)
+    return BlockBasis(key, field, columns, where, rref, total, live)
 
 
 class FamilyBasis:

@@ -2,12 +2,15 @@
 
 One JSON file per (row content, flavor content) block, named by a stable
 hash of the block's full key (n, field, chirality, row content, flavor
-content).  Every file carries a versioned header naming that key and the
-epsilon-convention tag beside the block record; files whose header does
-not match the requesting context are ignored on load and quarantined by
-validation, which also re-reduces every relation instance of the block
-chain through the stored echelon form.  A record that cannot be read or
-decoded is a miss, so the block is rebuilt.
+content).  Every file carries a versioned header naming that key, the
+epsilon-convention tag and a sha256 of the block record beside the record;
+files whose header or checksum does not match the requesting context are
+ignored on load and quarantined by validation, which also re-reduces every
+relation instance of the block chain through the stored echelon form.  A
+record that cannot be read or decoded is a miss, so the block is rebuilt.
+Records are in class coordinates (see qzm.basis): the echelon form is over
+the commutation-class reps, and every other live word is stored as integer
+(column, exponent) pairs, so a load parses scalars only for pivot rows.
 
 Writes are atomic (temp file, then rename) and nothing is merged, so
 processes sharing a directory lose no blocks: writers of different blocks
@@ -28,7 +31,7 @@ from .basis import BlockBasis, FockContext
 from .fock import (eps_tag, word_from_letters, word_is_dead, word_letters,
                    word_sort_key)
 
-SCHEMA = "qzm-basis/2"
+SCHEMA = "qzm-basis/3"
 
 
 def _canon_key(n, field_tag, block_key):
@@ -44,8 +47,11 @@ def _canon_key(n, field_tag, block_key):
 
 
 def _header_ok(ctx, key, data):
+    """The header names this block and convention, and the checksum matches
+    the stored record."""
     return ({k: data.get(k) for k in key} == key
-            and data.get("eps") == eps_tag(ctx.eps_sign))
+            and data.get("eps") == eps_tag(ctx.eps_sign)
+            and data.get("sha256") == _digest(data.get("block")))
 
 
 def _key_hash(key):
@@ -61,22 +67,35 @@ def _decode_word(n, enc):
     return word_from_letters(n, [(r, f) for r, f in enc])
 
 
+def _digest(record):
+    """sha256 of a block record's canonical JSON encoding."""
+    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def _encode_block(ctx, bb):
+    """The block in class coordinates: the columns are the basis and pivot
+    words (the class reps), ordered by ``word_sort_key``; every other word
+    of a live class is stored as (column, exponent) integers."""
     n = ctx.n
+    cols = bb.columns
     rows = []
-    for lead_idx in sorted(bb.rref):
-        tail = bb.rref[lead_idx]
+    for lead in sorted(bb.rref):
         rows.append([
-            _encode_word(n, bb.words[lead_idx]),
-            [[_encode_word(n, bb.words[t]), s.encode()]
-             for t, s in sorted(tail.items())],
+            _encode_word(n, cols[lead]),
+            [[_encode_word(n, cols[t]), s.encode()]
+             for t, s in sorted(bb.rref[lead].items())],
         ])
+    words = [[_encode_word(n, w), j, e] for w, (j, e) in bb.where.items()
+             if cols[j] != w]
     return {
         "flavor_content": list(bb.key[1]),
         "total_words": bb.total_words,
+        "live_words": bb.live_words,
         "dim": bb.dim,
         "basis": [_encode_word(n, w) for w in bb.basis_words],
         "rows": rows,
+        "words": words,
     }
 
 
@@ -85,20 +104,25 @@ def _decode_block(ctx, key, record):
     field = ctx.field
     basis = [_decode_word(n, e) for e in record["basis"]]
     leads = [_decode_word(n, r[0]) for r in record["rows"]]
-    words = sorted(set(basis) | set(leads), key=word_sort_key)
-    index = {w: i for i, w in enumerate(words)}
+    columns = sorted(set(basis) | set(leads), key=word_sort_key)
+    where = {w: (j, 0) for j, w in enumerate(columns)}
     rref = {}
     for enc_lead, enc_tail in record["rows"]:
-        lead = index[_decode_word(n, enc_lead)]
-        rref[lead] = {index[_decode_word(n, we)]: field.decode(se)
+        lead = where[_decode_word(n, enc_lead)][0]
+        rref[lead] = {where[_decode_word(n, we)][0]: field.decode(se)
                       for we, se in enc_tail}
-    return BlockBasis(key, words, index, rref, record["total_words"])
+    for enc, j, e in record["words"]:
+        if not 0 <= j < len(columns):
+            raise IndexError(f"column {j} out of range")
+        where[_decode_word(n, enc)] = (j, int(e))
+    return BlockBasis(key, field, columns, where, rref,
+                      record["total_words"], record["live_words"])
 
 
 def _reduces_to_zero(ctx, bb):
-    """Every relation instance of the block chain reduces to zero through the
-    block's echelon form alone (every live word of the chain is a basis or a
-    pivot word of the block)."""
+    """Every relation instance of the block chain, R2/R3 included, reduces to
+    zero through the block's record alone (a live word missing from the
+    class map belongs to a dead class and reduces to zero)."""
     n, h = ctx.n, ctx.h
     for inst in ctx.relation_instances(*bb.key):
         acc = {}
@@ -144,8 +168,9 @@ class DiskCache:
 
     def store_block(self, ctx, block_key, bb):
         key = _canon_key(ctx.n, ctx.field.tag(), block_key)
-        data = dict(key, eps=eps_tag(ctx.eps_sign),
-                    block=_encode_block(ctx, bb))
+        record = _encode_block(ctx, bb)
+        data = dict(key, eps=eps_tag(ctx.eps_sign), block=record,
+                    sha256=_digest(record))
         self._atomic_write(self._path(key), data)
 
     def _atomic_write(self, path, data):

@@ -207,36 +207,54 @@ class RelationInstance:
     position: int        # leftmost index of the window / split point
 
 
+def _arrangements(counts):
+    """Distinct sequences over 0..len(counts)-1 with value v used counts[v]
+    times, in lexicographic order (the next-permutation step)."""
+    seq = [v for v, c in enumerate(counts) for _ in range(c)]
+    out = [tuple(seq)]
+    last = len(seq) - 1
+    while True:
+        i = last - 1
+        while i >= 0 and seq[i] >= seq[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = last
+        while seq[j] <= seq[i]:
+            j -= 1
+        seq[i], seq[j] = seq[j], seq[i]
+        seq[i + 1:] = seq[:i:-1]
+        out.append(tuple(seq))
+
+
 def class_words(n, row_content, flavor_content):
-    """All words with the given row and flavor multiset, deterministically."""
-    row_seqs = sorted(set(permutations(
-        [r + 1 for r in range(n) for _ in range(row_content[r])])))
-    flav_seqs = sorted(set(permutations(
-        [f + 1 for f in range(n) for _ in range(flavor_content[f])])))
-    out = []
-    for rs in row_seqs:
-        for fs_ in flav_seqs:
-            out.append(bytes((r - 1) * n + (f - 1) for r, f in zip(rs, fs_)))
-    return out
+    """All words with the given row and flavor multiset, deterministically:
+    row sequences in lexicographic order, then flavor sequences."""
+    # a letter code is row * n + flavor < 256, so adding the two byte
+    # strings as big-endian integers carries nothing between letters
+    rows = [int.from_bytes(bytes(r * n for r in rs), "big")
+            for rs in _arrangements(row_content)]
+    flavs = [int.from_bytes(bytes(fs), "big")
+             for fs in _arrangements(flavor_content)]
+    length = sum(row_content)
+    return [(r + f).to_bytes(length, "big") for r in rows for f in flavs]
 
 
 def _eps(a, b):
     return 1 if a > b else (-1 if a < b else 0)
 
 
-def exchange_rows(field, n, h, words, dedupe=False, mode=None):
+def exchange_rows(field, n, h, words, mode=None):
     """Yield R1/R2/R3 instances for every window of every listed word.
 
-    With dedupe=True the R2/R3 rows that are exact scalar multiples of a row
-    generated from the sibling word are skipped (the span is unchanged).
-    mode="short" yields only the two-term templates, mode="long" only the
-    three-term one; elimination streams them in that order.
+    mode="long" yields only the three-term R1 rows: block elimination
+    accounts for the two-term R2/R3 rows through commutation classes
+    (see qzm.basis) and never streams them.
     """
     qint = field.q_int
     qpow = field.q_power
     one = field.one
     short = mode != "long"
-    long_ = mode != "short"
     for w in words:
         N = len(w)
         cnt = [0] * n
@@ -247,20 +265,20 @@ def exchange_rows(field, n, h, words, dedupe=False, mode=None):
             xi, xa = x // n, x % n          # 0-based rows/flavors
             yi, ya = y // n, y % n
             if xi != yi:
-                if xa != ya and long_:
+                if xa != ya:
                     # i = right letter's row, j = left letter's row (1-based)
                     pij = (xi - yi) + (cnt[yi] - cnt[xi])
                     w2 = w[:p] + bytes((y, x)) + w[p + 2:]
                     w3 = w[:p] + bytes((yi * n + xa, xi * n + ya)) + w[p + 2:]
                     # the three words are pairwise distinct here
                     terms = {w: qint(pij - 1),
-                             w2: -qint(pij),
+                             w2: qint(-pij),
                              w3: qpow(_eps(ya, xa) * pij)}
                     yield RelationInstance(TEMPLATE_EXCHANGE, terms, p)
-                elif xa == ya and short and (not dedupe or xi > yi):
+                elif short:
                     w2 = w[:p] + bytes((y, x)) + w[p + 2:]
                     yield RelationInstance(TEMPLATE_COMMUTE, {w: one, w2: -one}, p)
-            elif xa != ya and short and (not dedupe or xa > ya):
+            elif xa != ya and short:
                 w2 = w[:p] + bytes((y, x)) + w[p + 2:]
                 yield RelationInstance(
                     TEMPLATE_FLAVOR_SWAP, {w: one, w2: -qpow(_eps(xa, ya))}, p)

@@ -1,0 +1,101 @@
+"""Class-coordinate elimination against word-level elimination.
+
+``build_block`` eliminates over R2/R3 commutation classes and never
+streams the two-term rows.  The oracle here eliminates every relation
+instance, R2/R3 included, over every live word with the same incremental
+Gauss-Jordan, and requires every live word to reduce identically.
+"""
+
+import os
+
+import pytest
+
+from qzm import cli
+from qzm.basis import (FockContext, _compositions, _insert_row, _level_words,
+                       chain_levels, commutation_classes)
+from qzm.fock import word_from_letters, word_is_dead
+
+
+def word_level_reductions(ctx, key):
+    """Every live word of the block chain -> its reduction {word: Scalar}."""
+    n, h, one = ctx.n, ctx.h, ctx.field.one
+    words = [w for ws in _level_words(n, chain_levels(*key)) for w in ws
+             if not word_is_dead(n, h, w)]
+    index = {w: i for i, w in enumerate(words)}
+    rref, containing = {}, {}
+    for inst in ctx.relation_instances(*key):
+        row = {}
+        for w, c in inst.terms.items():
+            j = index.get(w)
+            if j is not None:
+                row[j] = row[j] + c if j in row else c
+        row = {j: c for j, c in row.items() if not c.is_zero()}
+        if row:
+            _insert_row(row, rref, containing)
+    out = {}
+    for w, i in index.items():
+        tail = rref.get(i)
+        out[w] = ({w: one} if tail is None
+                  else {words[t]: s for t, s in tail.items()})
+    return out
+
+
+def assert_blocks_match_word_level(ctx, keys):
+    one = ctx.field.one
+    for key in keys:
+        bb = ctx.block_basis(*key)
+        expected = word_level_reductions(ctx, key)
+        assert bb.live_words == len(expected)
+        for w, red in expected.items():
+            got = {fw: one if s is None else s for fw, s in bb.reduce_word(w)}
+            assert got == red, (key, w)
+        # no class was killed by exponents that disagree around a cycle
+        for ws in _level_words(ctx.n, chain_levels(*key)):
+            assert commutation_classes(ctx.n, ctx.h, ws)[2] == 0
+
+
+def fprime_context(monkeypatch, n, k):
+    made = []
+
+    def context(cfg, generic):
+        made.append(real(cfg, generic))
+        return made[-1]
+
+    real = cli._context
+    monkeypatch.setattr(cli, "_context", context)
+    cli.run(["fprime", "--n", str(n), "--k", str(k), "--format", "json",
+             "--out", os.devnull])
+    [ctx] = made
+    return ctx
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1)])
+def test_fprime_blocks_match_word_level(monkeypatch, n, k):
+    ctx = fprime_context(monkeypatch, n, k)
+    assert ctx._blocks
+    assert_blocks_match_word_level(ctx, list(ctx._blocks))
+
+
+def test_generic_blocks_match_word_level(gctx2):
+    keys = [(rc, fc) for t in range(1, 5) for rc in _compositions(t, 2)
+            for fc in _compositions(t, 2)]
+    assert_blocks_match_word_level(gctx2, keys)
+
+
+def test_class_exponents():
+    """w = q^E rep: R2 swaps cost nothing, an R3 swap of a larger flavor
+    past a smaller one costs q^1, and the rep is the last word in the
+    right-to-left order."""
+    n = 2
+    a11, a12, a21 = (word_from_letters(n, [rf]) for rf in
+                     ((1, 1), (1, 2), (2, 1)))
+    words = sorted([a11 + a12, a12 + a11], key=lambda w: w[::-1])
+    reps, where, conflicts = commutation_classes(n, None, words)
+    assert reps == [a11 + a12] and conflicts == 0
+    assert where == {a11 + a12: (a11 + a12, 0), a12 + a11: (a11 + a12, 1)}
+    words = sorted([a21 + a11 + a11, a11 + a21 + a11, a11 + a11 + a21],
+                   key=lambda w: w[::-1])
+    # the words ending in a row-2 letter are dead, and so is their class
+    reps, where, conflicts = commutation_classes(n, None, words)
+    assert reps == [] and conflicts == 0
+    assert where == {a21 + a11 + a11: None, a11 + a21 + a11: None}

@@ -198,17 +198,36 @@ def test_malformed_block_file_is_rebuilt(tmp_path, damage):
     assert ctx3.stats["blocks_loaded"] == 1
 
 
-def test_old_family_file_ignored_and_quarantined(tmp_path):
+def test_altered_scalar_block_is_rebuilt(tmp_path):
+    """A record whose scalar was altered but still decodes fails its
+    checksum, so the load is a miss and the block is rebuilt."""
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    bb = ctx.block_basis((2, 1), (1, 2))
+    path = _only_block_file(cache_dir)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    _, tail = next(row for row in data["block"]["rows"] if row[1])
+    tail[0][1][0] = str(Fraction(tail[0][1][0]) + 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    bb2 = ctx2.block_basis((2, 1), (1, 2))
+    assert ctx2.stats["blocks_loaded"] == 0
+    assert ctx2.stats["blocks_built"] == 1
+    assert bb2.rref == bb.rref
+
+
+def _assert_old_file_ignored_and_quarantined(tmp_path, old_layout):
+    """The block file turned into an older layout, written at the block's
+    own file name and at another name, is never loaded, and validation
+    quarantines it while the rebuilt file passes."""
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
     ctx.block_basis((1, 1), (1, 1))
     path = _only_block_file(cache_dir)
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    # the same block in the family layout of schema qzm-basis/1
-    old = {k: data[k] for k in ("n", "field", "chirality", "row_content",
-                                "eps")}
-    old.update(schema="qzm-basis/1", blocks={"1,1": data["block"]})
+        old = old_layout(json.load(fh))
     for name in (os.path.basename(path), "0123456789abcdef.json"):
         with open(os.path.join(cache_dir, name), "w", encoding="utf-8") as fh:
             json.dump(old, fh)
@@ -223,6 +242,27 @@ def test_old_family_file_ignored_and_quarantined(tmp_path):
                     "0123456789abcdef.json": "fail"}
     assert os.path.exists(os.path.join(cache_dir,
                                        "0123456789abcdef.json.quarantined"))
+
+
+def test_old_family_file_ignored_and_quarantined(tmp_path):
+    def family(data):
+        # the same block in the family layout of schema qzm-basis/1
+        old = {k: data[k] for k in ("n", "field", "chirality", "row_content",
+                                    "eps")}
+        old.update(schema="qzm-basis/1", blocks={"1,1": data["block"]})
+        return old
+    _assert_old_file_ignored_and_quarantined(tmp_path, family)
+
+
+def test_word_coordinate_file_ignored_and_quarantined(tmp_path):
+    def word_coordinates(data):
+        # schema qzm-basis/2: one block per file, no checksum, no class map
+        old = {k: v for k, v in data.items() if k != "sha256"}
+        old["schema"] = "qzm-basis/2"
+        old["block"] = {k: v for k, v in data["block"].items()
+                        if k not in ("words", "live_words")}
+        return old
+    _assert_old_file_ignored_and_quarantined(tmp_path, word_coordinates)
 
 
 def _store_blocks(cache_dir, flavor_contents):

@@ -7,6 +7,7 @@ module structure must reproduce exactly.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -51,6 +52,22 @@ def test_word_order_prefers_longer_words():
     long_ = word_from_letters(2, [(1, 1), (1, 2)])
     assert word_sort_key(long_) < word_sort_key(short)
     assert word_sort_key(b"") > word_sort_key(short)
+
+
+@pytest.mark.parametrize("n,rc,fc", [
+    (2, (0, 0), (0, 0)), (2, (3, 2), (1, 4)), (2, (5, 2), (3, 4)),
+    (3, (0, 2, 1), (3, 0, 0)), (3, (2, 2, 1), (2, 2, 1)),
+    (4, (1, 1, 1, 1), (2, 1, 0, 1)),
+])
+def test_class_words_match_sorted_permutations(n, rc, fc):
+    """Same words in the same order as sorting the distinct permutations
+    (a seeded shuffle of this list picks verify-algebra's samples)."""
+    def arrangements(content):
+        return sorted(set(permutations(
+            [v for v in range(n) for _ in range(content[v])])))
+    expected = [bytes(r * n + f for r, f in zip(rs, fs))
+                for rs in arrangements(rc) for fs in arrangements(fc)]
+    assert class_words(n, rc, fc) == expected
 
 
 def test_apply_letter(ctx21):

@@ -171,8 +171,8 @@ def test_both_eps_signs_pass_calibration(sign):
 
 def test_eps_sign_keeps_integral_structure_constants():
     """Over the full growth scans, EPS_SIGN leaves every echelon tail in
-    Z[q]; the mirror sign does not (144 of 191 tails at (2,3) and 390 of
-    1940 at (3,1) carry a denominator)."""
+    Z[q]; the mirror sign does not (all 40 class-coordinate tails at (2,3)
+    and 225 of 691 at (3,1) carry a denominator)."""
     for n, k in ((2, 3), (3, 1)):
         dens = {}
         for sign in (-1, 1):
