@@ -95,9 +95,9 @@ def _level_words(n, levels):
 def _insert_row(row, rref, containing):
     """Insert one relation row, maintaining a fully reduced echelon form.
 
-    ``rref`` maps a pivot index to its tail {index: Scalar}, meaning the
-    pivot word equals the tail combination in the quotient; tails only hold
-    non-pivot indices.  Returns the new pivot index, or None if the row was
+    ``rref`` maps a pivot column to its tail {column: Scalar}, meaning the
+    pivot equals the tail combination in the quotient; tails only hold
+    non-pivot columns.  Returns the new pivot index, or None if the row was
     already in the span.
     """
     while True:
