@@ -37,8 +37,8 @@ from math import factorial
 
 from . import fock
 from .fock import (EPS_SIGN, ChiralState, class_words, determinant_rows,
-                   exchange_rows, single_word_rows, word_flavor_content,
-                   word_is_dead, word_row_content)
+                   exchange_rows, word_flavor_content, word_is_dead,
+                   word_row_content)
 from .scalars import GENERIC, ROOT, UsageError, make_field
 
 DEFAULT_BUDGET = 100000
@@ -319,7 +319,7 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
     for ws in level_words:
         insert_instances(exchange_rows(field, n, h, ws, mode="long"))
     for ws in level_words[1:]:
-        insert_instances(determinant_rows(field, n, h, eps_sign, ws, prune=True))
+        insert_instances(determinant_rows(field, n, h, eps_sign, ws))
 
     vac = where.get(b"")
     if vac is not None and vac[0] in rref:
@@ -371,9 +371,6 @@ class FockContext:
         self._wred = {}
         self.stats = {"blocks_built": 0, "max_block_words": 0,
                       "blocks_loaded": 0}
-
-    def mode(self):
-        return GENERIC if self.h is None else ROOT
 
     def vacuum(self, chirality=fock.UNBARRED):
         return ChiralState.vacuum(self.field, self.n, chirality)
@@ -427,15 +424,8 @@ class FockContext:
 
     def reduce_state(self, state):
         """Express a state in quotient basis words only; idempotent."""
-        acc = {}
-        zero = self.field.zero
-        for w, c in state.terms.items():
-            for fw, s in self.reduce_word(w):
-                cs = c if s is None else c * s
-                v = acc.get(fw)
-                acc[fw] = cs if v is None else v + cs
         return ChiralState(self.field, self.n, state.chirality,
-                           {w: c for w, c in acc.items() if not c.is_zero()})
+                           _reduce_terms(state.terms, self.reduce_word))
 
     def is_zero_state(self, state):
         return self.reduce_state(state).is_empty()
@@ -443,15 +433,37 @@ class FockContext:
     # -- relation instances ----------------------------------------------
 
     def relation_instances(self, row_content, flavor_content):
-        """All relation instances of the block chain, as an iterator."""
+        """The R1/R2/R3 and R5 instances of the block chain, as an iterator;
+        none holds dead words only (see qzm.fock)."""
         field, n, h = self.field, self.n, self.h
         levels = chain_levels(row_content, flavor_content)
         level_words = _level_words(n, levels)
         for ws in level_words:
-            yield from single_word_rows(field, n, h, ws)
             yield from exchange_rows(field, n, h, ws)
         for ws in level_words[1:]:
             yield from determinant_rows(field, n, h, self.eps_sign, ws)
+
+    def certify(self, bb):
+        """The exact certificate for an echelon form eliminated elsewhere
+        (a cache record): every relation instance of the block chain, R2/R3
+        included, reduces to zero through ``bb`` alone."""
+        for inst in self.relation_instances(*bb.key):
+            acc = _reduce_terms(inst.terms, bb.reduce_word)
+            if any(not c.is_zero() for c in acc.values()):
+                return False
+        return True
+
+
+def _reduce_terms(terms, reduce_word):
+    """Sum c * reduce_word(w) over the (word, c) terms, as {basis word:
+    Scalar}; entries that cancel are kept as zeros."""
+    acc = {}
+    for w, c in terms.items():
+        for fw, s in reduce_word(w):
+            cs = c if s is None else c * s
+            v = acc.get(fw)
+            acc[fw] = cs if v is None else v + cs
+    return acc
 
 
 def _compositions(total, parts):

@@ -5,8 +5,9 @@ hash of the block's full key (n, field, chirality, row content, flavor
 content).  Every file carries a versioned header naming that key, the
 epsilon-convention tag and a sha256 of the block record beside the record;
 files whose header or checksum does not match the requesting context are
-ignored on load and quarantined by validation, which also re-reduces every
-relation instance of the block chain through the stored echelon form.  A
+ignored on load and quarantined by validation, which also checks the
+stored record with the exact certificate `FockContext.certify`: every
+relation instance of the block chain reduces to zero through it.  A
 record that cannot be read or decoded is a miss, so the block is rebuilt.
 Records are in class coordinates (see qzm.basis): the echelon form is over
 the commutation-class reps, and every other live word is stored as integer
@@ -28,8 +29,7 @@ import os
 import tempfile
 
 from .basis import BlockBasis, FockContext
-from .fock import (eps_tag, word_from_letters, word_is_dead, word_letters,
-                   word_sort_key)
+from .fock import eps_tag, word_from_letters, word_letters, word_sort_key
 
 SCHEMA = "qzm-basis/3"
 
@@ -119,24 +119,6 @@ def _decode_block(ctx, key, record):
                       record["total_words"], record["live_words"])
 
 
-def _reduces_to_zero(ctx, bb):
-    """Every relation instance of the block chain, R2/R3 included, reduces to
-    zero through the block's record alone (a live word missing from the
-    class map belongs to a dead class and reduces to zero)."""
-    n, h = ctx.n, ctx.h
-    for inst in ctx.relation_instances(*bb.key):
-        acc = {}
-        for w, c in inst.terms.items():
-            if word_is_dead(n, h, w):
-                continue
-            for fw, s in bb.reduce_word(w):
-                cs = c if s is None else c * s
-                acc[fw] = acc[fw] + cs if fw in acc else cs
-        if any(not v.is_zero() for v in acc.values()):
-            return False
-    return True
-
-
 def _read_json(path):
     """The JSON object a file holds, or None when the file cannot be read or
     does not hold an object."""
@@ -203,7 +185,7 @@ class DiskCache:
                               data):
                 return False
             bb = _decode_block(ctx, block_key, data["block"])
-            return _reduces_to_zero(ctx, bb)
+            return ctx.certify(bb)
         except (KeyError, IndexError, TypeError, ValueError, ArithmeticError):
             return False
 

@@ -505,8 +505,22 @@ def build_parser():
     return ap
 
 
+def _check_ranges(parser, cfg):
+    """Reject out-of-range input as a usage error, exit status 2."""
+    least = {"samples": 1} if cfg.n is None else {"samples": 1, "n": 2, "k": 1}
+    for name, low in least.items():
+        if getattr(cfg, name) < low:
+            parser.error(f"--{name} must be at least {low}")
+    # a --generic-q check-w is recorded as skipped, whatever its --i
+    if cfg.command == "check-w" and not cfg.generic_q \
+            and not 2 <= cfg.i < cfg.n:
+        parser.error(f"--i must lie in 2..{cfg.n - 1} for n = {cfg.n}")
+
+
 def run(argv=None):
-    cfg = build_parser().parse_args(argv)
+    parser = build_parser()
+    cfg = parser.parse_args(argv)
+    _check_ranges(parser, cfg)
     cfg.h = None if cfg.n is None else cfg.n + cfg.k
     ck = Checker()
     COMMANDS[cfg.command](cfg, ck)

@@ -25,8 +25,11 @@ instance acts on:
       bare word, where D_q(p) is the product of [p_ij] over i < j
   R6 (vacuum annihilation):        any word whose rightmost letter has row >= 2
 
-R4 and R6 are single-word rows; membership is decided by the O(1)
-predicate `word_is_dead`, which the reduction machinery uses directly.
+R4 and R6 kill single words; they are never streamed as rows but decided
+by the O(1) predicate `word_is_dead`, which the reduction machinery uses
+directly.  Likewise no generator yields a row whose words all end in a
+letter of row >= 2: such a row holds dead words only, so it can neither
+change an echelon form nor fail a check.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .scalars import UsageError
-from .weights import WeightVector, vacuum_weight
+from .weights import WeightVector, epsilon, vacuum_weight
 
 UNBARRED = "unbarred"
 BARRED = "barred"
@@ -43,9 +46,7 @@ BARRED = "barred"
 TEMPLATE_EXCHANGE = "exchange"          # R1
 TEMPLATE_COMMUTE = "row_commute"        # R2
 TEMPLATE_FLAVOR_SWAP = "flavor_swap"    # R3
-TEMPLATE_POWER = "h_power"              # R4
 TEMPLATE_DET = "determinant"            # R5
-TEMPLATE_VACUUM = "vacuum"              # R6
 
 # The quantum flavor symbol is eps(sigma) = (-q)^{EPS_SIGN * inversions}.
 # Both signs are consistent (they are q <-> q^{-1} mirrors, see the tests);
@@ -240,12 +241,12 @@ def class_words(n, row_content, flavor_content):
     return [(r + f).to_bytes(length, "big") for r in rows for f in flavs]
 
 
-def _eps(a, b):
-    return 1 if a > b else (-1 if a < b else 0)
-
-
 def exchange_rows(field, n, h, words, mode=None):
-    """Yield R1/R2/R3 instances for every window of every listed word.
+    """Yield R1/R2/R3 instances for the windows of the listed words.
+
+    A window's words share every letter right of it, so a word ending in a
+    row >= 2 letter yields only its last window, and nothing when the
+    letter before has row >= 2 too: all that window's words are then dead.
 
     mode="long" yields only the three-term R1 rows: block elimination
     accounts for the two-term R2/R3 rows through commutation classes
@@ -257,9 +258,15 @@ def exchange_rows(field, n, h, words, mode=None):
     short = mode != "long"
     for w in words:
         N = len(w)
+        if N < 2 or w[-1] < n:
+            stop = -1
+        elif w[-2] < n:
+            stop = N - 3
+        else:
+            continue
         cnt = [0] * n
         # windows processed right to left so suffix row counts accumulate
-        for p in range(N - 2, -1, -1):
+        for p in range(N - 2, stop, -1):
             x = w[p]
             y = w[p + 1]
             xi, xa = x // n, x % n          # 0-based rows/flavors
@@ -273,7 +280,7 @@ def exchange_rows(field, n, h, words, mode=None):
                     # the three words are pairwise distinct here
                     terms = {w: qint(pij - 1),
                              w2: qint(-pij),
-                             w3: qpow(_eps(ya, xa) * pij)}
+                             w3: qpow(epsilon(ya, xa) * pij)}
                     yield RelationInstance(TEMPLATE_EXCHANGE, terms, p)
                 elif short:
                     w2 = w[:p] + bytes((y, x)) + w[p + 2:]
@@ -281,20 +288,8 @@ def exchange_rows(field, n, h, words, mode=None):
             elif xa != ya and short:
                 w2 = w[:p] + bytes((y, x)) + w[p + 2:]
                 yield RelationInstance(
-                    TEMPLATE_FLAVOR_SWAP, {w: one, w2: -qpow(_eps(xa, ya))}, p)
+                    TEMPLATE_FLAVOR_SWAP, {w: one, w2: -qpow(epsilon(xa, ya))}, p)
             cnt[yi] += 1
-
-
-def single_word_rows(field, n, h, words):
-    """Yield the R4/R6 one-term instances among the listed words."""
-    one = field.one
-    for w in words:
-        if not w:
-            continue
-        if w[-1] >= n:
-            yield RelationInstance(TEMPLATE_VACUUM, {w: one}, len(w) - 1)
-        elif word_is_dead(n, h, w):
-            yield RelationInstance(TEMPLATE_POWER, {w: one}, 0)
 
 
 def _perm_data(n):
@@ -306,7 +301,7 @@ def _perm_data(n):
     return data
 
 
-def determinant_rows(field, n, h, eps_sign, lower_words, prune=False):
+def determinant_rows(field, n, h, eps_sign, lower_words):
     """Yield R5 instances: one per (lower word, split point).
 
     Each row expands the n-letter determinant block inserted at the split,
@@ -314,8 +309,8 @@ def determinant_rows(field, n, h, eps_sign, lower_words, prune=False):
     (-q)^{eps_sign * inversions}, on flavors, minus [n]! D_q evaluated at
     the suffix weight times the bare word.
 
-    With prune=True, splits whose every resulting word is annihilated
-    outright are skipped (rows supported on dead words only).
+    A lower word ending in a row >= 2 letter yields only its last split:
+    every other split keeps that ending, so its row holds dead words only.
     """
     qint = field.q_int
     qpow = field.q_power
@@ -331,13 +326,7 @@ def determinant_rows(field, n, h, eps_sign, lower_words, prune=False):
     sgn = {s: (1 if inv % 2 == 0 else -1) for s, inv in pdata}
     for z in lower_words:
         L = len(z)
-        # a word ending in a row >= 2 letter keeps that ending under every
-        # split except the last, so those rows are supported on dead words
-        if prune and z and z[-1] >= n:
-            splits = (L,)
-        else:
-            splits = range(L + 1)
-        for split in splits:
+        for split in (L,) if z and z[-1] >= n else range(L + 1):
             suffix = z[split:]
             cnt = [0] * n
             for code in suffix:

@@ -11,8 +11,8 @@ import os
 import pytest
 
 from qzm import cli
-from qzm.basis import (FockContext, _compositions, _insert_row, _level_words,
-                       chain_levels, commutation_classes)
+from qzm.basis import (BlockBasis, FockContext, _compositions, _insert_row,
+                       _level_words, chain_levels, commutation_classes)
 from qzm.fock import word_from_letters, word_is_dead
 
 
@@ -74,6 +74,47 @@ def test_fprime_blocks_match_word_level(monkeypatch, n, k):
     ctx = fprime_context(monkeypatch, n, k)
     assert ctx._blocks
     assert_blocks_match_word_level(ctx, list(ctx._blocks))
+
+
+def assert_every_instance_touches_a_live_ending(ctx, keys):
+    """No one-term instance, and none whose words all end in a row >= 2
+    letter: those hold dead words only."""
+    for key in keys:
+        for inst in ctx.relation_instances(*key):
+            assert len(inst.terms) > 1, (key, inst)
+            assert any(not w or w[-1] < ctx.n for w in inst.terms), (key, inst)
+
+
+def test_fprime_instances_touch_a_live_ending(monkeypatch):
+    ctx = fprime_context(monkeypatch, 3, 1)
+    assert_every_instance_touches_a_live_ending(ctx, list(ctx._blocks))
+
+
+def test_sweep_instances_touch_a_live_ending(ctx32, gctx3):
+    keys = [(rc, fc) for rc in cli._sweep_contents(3, cli.SWEEP_LETTERS)
+            for fc in _compositions(sum(rc), 3)]
+    for ctx in (ctx32, gctx3):
+        assert_every_instance_touches_a_live_ending(ctx, keys)
+
+
+def _altered(bb, rref=None, where=None):
+    return BlockBasis(bb.key, bb.field, bb.columns, where or bb.where,
+                      rref or bb.rref, bb.total_words, bb.live_words)
+
+
+def test_certificate_rejects_an_altered_block(ctx22):
+    """certify accepts a built block, and rejects it after one tail scalar
+    changes and after one class exponent changes (the R2/R3 part)."""
+    bb = ctx22.block_basis((2, 1), (1, 2))
+    assert ctx22.certify(bb)
+    lead = next(j for j, tail in bb.rref.items() if tail)
+    tail = dict(bb.rref[lead])
+    t = next(iter(tail))
+    tail[t] = tail[t] + ctx22.field.one
+    assert not ctx22.certify(_altered(bb, rref={**bb.rref, lead: tail}))
+    w, (j, e) = next((w, loc) for w, loc in bb.where.items()
+                     if bb.columns[loc[0]] != w and bb.reduce_word(w))
+    assert not ctx22.certify(_altered(bb, where={**bb.where, w: (j, e + 1)}))
 
 
 def test_generic_blocks_match_word_level(gctx2):

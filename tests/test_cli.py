@@ -8,7 +8,7 @@ import pytest
 
 from qzm import cli
 from qzm.basis import FockContext
-from qzm.cache import DiskCache
+from qzm.cache import DiskCache, _digest
 from qzm.qalgebra import resolve_eps_sign
 from qzm.reports import strip_timing
 
@@ -218,6 +218,28 @@ def test_altered_scalar_block_is_rebuilt(tmp_path):
     assert bb2.rref == bb.rref
 
 
+def test_cache_validate_certifies_a_checksummed_record(tmp_path):
+    """A tail scalar altered with its checksum rewritten passes the header
+    check, so only the certificate can catch it."""
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    ctx.block_basis((2, 1), (1, 2))
+    path = _only_block_file(cache_dir)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    _, tail = next(row for row in data["block"]["rows"] if row[1])
+    tail[0][1][0] = str(Fraction(tail[0][1][0]) + 1)
+    data["sha256"] = _digest(data["block"])
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    [rec] = report["checks"]
+    assert rec["result"] == "fail"
+    assert rec["detail"] == "quarantined"
+    assert os.path.exists(path + ".quarantined")
+
+
 def _assert_old_file_ignored_and_quarantined(tmp_path, old_layout):
     """The block file turned into an older layout, written at the block's
     own file name and at another name, is never loaded, and validation
@@ -312,6 +334,30 @@ def test_cache_purge(tmp_path):
     assert not [f for f in os.listdir(cache_dir) if f.endswith(".json")]
 
 
+@pytest.mark.parametrize("argv", [
+    ["fprime", "--n", "1", "--k", "1"],
+    ["fprime", "--n", "2", "--k", "0"],
+    ["check-w", "--n", "2", "--k", "1"],
+    ["check-w", "--n", "3", "--k", "1", "--i", "5"],
+    ["verify-field", "--n", "2", "--k", "3", "--samples", "0"],
+    ["verify-algebra", "--n", "2", "--k", "1", "--samples", "-3"],
+], ids=["n1", "k0", "check_w_n2", "check_w_i5", "samples0", "samples_neg"])
+def test_out_of_range_input_is_a_usage_error(argv, tmp_path, capsys):
+    """Exit status 2 with a usage message; 1 is kept for a failed
+    documented claim."""
+    with pytest.raises(SystemExit) as exc:
+        run_cmd(argv, tmp_path)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_generic_check_w_keeps_its_skipped_record(tmp_path):
+    code, report = run_cmd(["check-w", "--n", "2", "--k", "1", "--generic-q"],
+                           tmp_path)
+    assert code == 0
+    assert [c["result"] for c in report["checks"]] == ["skipped"]
+
+
 def test_exploratory_runs_never_fail_exit(tmp_path):
     code, report = run_cmd(["check-w", "--n", "3", "--k", "3", "--i", "2"],
                            tmp_path, name="w33")
@@ -330,7 +376,8 @@ def _benchmark_golden():
     return golden
 
 
-@pytest.mark.parametrize("key", ["fprime_n2k2", "fprime_n3k1", "checkw_n3k1"])
+@pytest.mark.parametrize("key", ["fprime_n2k2", "fprime_n3k1", "checkw_n3k1",
+                                 "verify_algebra_n3k2"])
 def test_reports_match_benchmark_golden(key, tmp_path):
     """Verdicts and their digest match the benchmark's golden record."""
     golden = _benchmark_golden()

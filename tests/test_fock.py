@@ -112,6 +112,23 @@ def test_r1_instance_at_vacuum_frozen(ctx21):
     assert row.terms[w3] == f.q_power(-1)                   # q^{eps_{12}}
 
 
+def test_exchange_rows_skip_dead_endings(ctx31):
+    """A word ending in a row >= 2 letter yields a row only at its last
+    window, and none when the letter before has row >= 2 as well; any other
+    word yields one at every window of two distinct letters."""
+    n = 3
+    for w in class_words(n, (2, 1, 1), (1, 2, 1)):
+        got = [inst.position
+               for inst in fock.exchange_rows(ctx31.field, n, ctx31.h, [w])]
+        if w[-1] < n:
+            assert got == [p for p in range(len(w) - 2, -1, -1)
+                           if w[p] != w[p + 1]]
+        elif w[-2] < n:
+            assert got == [len(w) - 2]
+        else:
+            assert got == []
+
+
 def test_every_instance_reduces_to_zero(ctx21, ctx31, gctx2):
     for ctx, rc, fc in [
         (ctx21, (2, 1), (2, 1)), (ctx21, (3, 0), (2, 1)),
