@@ -33,6 +33,7 @@ block bases are shared between chiralities.
 
 from __future__ import annotations
 
+import weakref
 from math import factorial
 
 from . import fock
@@ -290,7 +291,6 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
     rref = {}
     containing = {}
     seen = set()
-    scaled = {}         # (c, e) -> c q^e: rows draw on few coefficients
 
     def insert_instances(instances):
         for inst in instances:
@@ -301,10 +301,7 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
                     continue
                 j, e = loc
                 if e:
-                    ce = scaled.get((c, e))
-                    if ce is None:
-                        ce = scaled[c, e] = c * field.q_power(e)
-                    c = ce
+                    c = c * field.q_power(e)
                 v = row.get(j)
                 row[j] = c if v is None else v + c
             row = {j: c for j, c in row.items() if not c.is_zero()}
@@ -345,8 +342,9 @@ class FockContext:
     """Owns the field, the epsilon convention, budgets and all basis caches.
 
     Block construction is pure; the cache behaves as a get-or-compute map.
-    A context is intended for single-threaded use (nothing here mutates
-    shared global state).
+    A context is intended for single-threaded use: its field memoises
+    arithmetic (see qzm.scalars), and it empties that memo when it is
+    released, so the memo lives no longer than the context.
     """
 
     def __init__(self, n, k=None, *, generic=False, eps_sign=EPS_SIGN,
@@ -363,6 +361,7 @@ class FockContext:
             self.h = n + k
             self.k = k
             self.field = make_field(ROOT, self.h)
+        weakref.finalize(self, self.field.clear_memo)
         self.n = n
         self.eps_sign = eps_sign
         self.budget = budget

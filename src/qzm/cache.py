@@ -2,10 +2,11 @@
 
 One JSON file per (row content, flavor content) block, named by a stable
 hash of the block's full key (n, field, chirality, row content, flavor
-content).  Every file carries a versioned header naming that key, the
-epsilon-convention tag and a sha256 of the block record beside the record;
-files whose header or checksum does not match the requesting context are
-ignored on load and quarantined by validation, which also checks the
+content, relation-set fingerprint).  Every file carries a versioned header
+naming that key, the epsilon-convention tag and a sha256 of the block
+record beside the record; files whose header or checksum does not match
+the requesting context (a file written under other relations included)
+are ignored on load and quarantined by validation, which also checks the
 stored record with the exact certificate `FockContext.certify`: every
 relation instance of the block chain reduces to zero through it.  A
 record that cannot be read or decoded is a miss, so the block is rebuilt.
@@ -29,7 +30,8 @@ import os
 import tempfile
 
 from .basis import BlockBasis, FockContext
-from .fock import eps_tag, word_from_letters, word_letters, word_sort_key
+from .fock import (RELATIONS, eps_tag, word_from_letters, word_letters,
+                   word_sort_key)
 
 SCHEMA = "qzm-basis/3"
 
@@ -43,6 +45,7 @@ def _canon_key(n, field_tag, block_key):
         "chirality": "unbarred",
         "row_content": list(row_content),
         "flavor_content": list(flavor_content),
+        "relations": RELATIONS,
     }
 
 
@@ -159,7 +162,8 @@ class DiskCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(data, fh, sort_keys=True)
+                # one dumps call uses the C encoder; json.dump would not
+                fh.write(json.dumps(data, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -452,7 +452,7 @@ def _cache_record(cache, name, data, validate):
             "n": data.get("n"), "field": data.get("field"),
             "row_content": data.get("row_content"),
             "flavor_content": data.get("flavor_content"),
-            "eps": data.get("eps")}}
+            "eps": data.get("eps"), "relations": data.get("relations")}}
     if validate and not ok:
         cache.quarantine(name)
         extras["detail"] = ("unreadable; quarantined" if data is None

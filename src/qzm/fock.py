@@ -48,6 +48,14 @@ TEMPLATE_COMMUTE = "row_commute"        # R2
 TEMPLATE_FLAVOR_SWAP = "flavor_swap"    # R3
 TEMPLATE_DET = "determinant"            # R5
 
+# The relation set's fingerprint, recorded in every cache file: the
+# streamed templates plus a version.  Bump the version whenever a relation
+# changes, R4 and R6 included, so that no file written under other
+# relations is ever served.
+RELATIONS_VERSION = 1
+RELATIONS = ",".join((TEMPLATE_EXCHANGE, TEMPLATE_COMMUTE, TEMPLATE_FLAVOR_SWAP,
+                      TEMPLATE_DET)) + f"/{RELATIONS_VERSION}"
+
 # The quantum flavor symbol is eps(sigma) = (-q)^{EPS_SIGN * inversions}.
 # Both signs are consistent (they are q <-> q^{-1} mirrors, see the tests);
 # -1 keeps every structure constant in Z[q], where the +1 mirror forces

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import qzm.cache
 from qzm import cli
 from qzm.basis import FockContext
 from qzm.cache import DiskCache, _digest
@@ -241,8 +242,8 @@ def test_cache_validate_certifies_a_checksummed_record(tmp_path):
 
 
 def _assert_old_file_ignored_and_quarantined(tmp_path, old_layout):
-    """The block file turned into an older layout, written at the block's
-    own file name and at another name, is never loaded, and validation
+    """The block file turned into an older layout or another relation set,
+    written at the block's own file name and at another name, is never loaded, and validation
     quarantines it while the rebuilt file passes."""
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
@@ -285,6 +286,36 @@ def test_word_coordinate_file_ignored_and_quarantined(tmp_path):
                         if k not in ("words", "live_words")}
         return old
     _assert_old_file_ignored_and_quarantined(tmp_path, word_coordinates)
+
+
+def test_other_relation_set_file_ignored_and_quarantined(tmp_path):
+    def other_relations(data):
+        # the same record, written under a relation set with one more family
+        return dict(data, relations="exchange,row_commute,flavor_swap,"
+                                    "determinant,candidate/2")
+    _assert_old_file_ignored_and_quarantined(tmp_path, other_relations)
+
+
+def test_relation_set_change_misses_and_quarantines(tmp_path, monkeypatch):
+    """Files stored before the relation set changed are never loaded after
+    it, and validation quarantines them."""
+    cache_dir = str(tmp_path / "cache")
+    FockContext(2, 1, disk_cache=DiskCache(cache_dir)).block_basis((1, 1),
+                                                                   (1, 1))
+    old = os.path.basename(_only_block_file(cache_dir))
+    monkeypatch.setattr(qzm.cache, "RELATIONS", qzm.cache.RELATIONS + "+1")
+    ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
+    ctx.block_basis((1, 1), (1, 1))
+    assert ctx.stats["blocks_loaded"] == 0
+    assert ctx.stats["blocks_built"] == 1
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    recs = {c["params"]["file"]: c for c in report["checks"]}
+    assert {f: r["result"] for f, r in recs.items()} == {
+        old: "fail", next(f for f in recs if f != old): "pass"}
+    assert recs[old]["params"]["relations"] == \
+        "exchange,row_commute,flavor_swap,determinant/1"
+    assert os.path.exists(os.path.join(cache_dir, old + ".quarantined"))
 
 
 def _store_blocks(cache_dir, flavor_contents):

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, cyclotomic_poly, symbols
 
-from qzm.scalars import (FieldError, GENERIC, ROOT, UsageError, cyclotomic,
-                         make_field)
+from qzm.basis import FockContext
+from qzm.scalars import (FieldError, GENERIC, MEMO_SIZE, ROOT, UsageError,
+                         _generic_add, _generic_invert, _generic_mul,
+                         _make_generic, _root_add, _root_invert, _root_mul,
+                         cyclotomic, make_field)
 
 
 def sympy_cyclotomic(m):
@@ -161,3 +165,87 @@ def test_generic_canonical_roundtrip(num, den, field_generic):
         assert s * s.invert() == field_generic.one
         # canonical form is unique: re-normalizing is the identity
         assert _make_generic(field_generic, s.num, s.den) == s
+
+
+# ---------------------------------------------------------------------------
+# the per-field memo of *, + and invert
+# ---------------------------------------------------------------------------
+
+def _memo_operands(f, rng):
+    """Each of four numerators over each of three denominators, so that two
+    operands often share a numerator or a denominator and a memo key that
+    dropped either would collide."""
+    if f.mode == ROOT:
+        nums = [[rng.randint(-4, 4) for _ in range(f.degree - 1)] + [1]
+                for _ in range(4)]
+        return [f.decode([str(Fraction(c, d)) for c in num])
+                for num in nums for d in (1, 2, 3)]
+    nums = [tuple(rng.randint(-3, 3) for _ in range(2)) + (1,)
+            for _ in range(4)]
+    dens = [(1,), (1, 1), (2, -1, 1)]
+    return [_make_generic(f, num, den) for num in nums for den in dens]
+
+
+def _same(a, b):
+    return type(a) is type(b) and (a.num, a.den) == (b.num, b.den)
+
+
+@pytest.mark.parametrize("h", list(range(3, 12)) + [None])
+def test_memo_matches_the_raw_kernels(h):
+    f = make_field(GENERIC) if h is None else make_field(ROOT, h)
+    mul, add, invert = ((_generic_mul, _generic_add, _generic_invert)
+                        if h is None else (_root_mul, _root_add, _root_invert))
+    ops = _memo_operands(f, random.Random(h))
+    for _ in range(2):          # the second pass is served by the memo
+        for a in ops:
+            assert _same(a.invert(), invert(a))
+            for b in ops:
+                assert _same(a * b, mul(a, b))
+                assert _same(a + b, add(a, b))
+                assert _same(a - b, add(a, -b))
+
+
+def test_memo_keeps_fields_apart():
+    """h=4 and h=5 both have degree 4, so their scalars can have equal
+    (num, den); a product warmed up in one field must not serve the other."""
+    f4, f5 = make_field(ROOT, 4), make_field(ROOT, 5)
+    a4, b4 = f4.decode(["1", "2", "0", "-1"]), f4.decode(["0", "1", "1/2", "0"])
+    a5, b5 = f5.decode(["1", "2", "0", "-1"]), f5.decode(["0", "1", "1/2", "0"])
+    for a, b in ((a4, b4), (a5, b5)):
+        a * b, b * a, a + b, b + a, a.invert()
+    g = make_field(GENERIC)
+    ag = g.q_power(1) + g.one
+    ag * ag, ag + ag
+    for x, y in ((a4, b5), (b5, a4), (a5, b4), (a4, ag), (ag, a4)):
+        with pytest.raises(UsageError):
+            x * y
+        with pytest.raises(UsageError):
+            x + y
+
+
+@pytest.mark.parametrize("mode", [ROOT, GENERIC])
+def test_memo_tables_stay_bounded(mode):
+    f = make_field(mode, 7 if mode == ROOT else None)
+    b = f.q_int(3)
+    for i in range(MEMO_SIZE + 100):
+        a = f.from_int(i + 2) * f.q_power(1)
+        a * b, a + b, a.invert()
+        assert max(len(f._mul), len(f._add), len(f._inv)) <= MEMO_SIZE
+    assert len(f._mul) == len(f._add) == len(f._inv) == MEMO_SIZE
+
+
+def test_released_context_frees_its_memo():
+    """The memo's scalars point back at the field, so only a cyclic
+    collection would free them; the context empties the memo itself."""
+    gc.collect()
+    gc.disable()
+    try:
+        ctx = FockContext(2, 2)
+        ctx.family_basis((2, 1))
+        field = ctx.field
+        tables = (field._mul, field._add, field._inv)
+        assert all(tables)
+        del ctx
+        assert not any(tables)
+    finally:
+        gc.enable()
