@@ -99,28 +99,23 @@ def _insert_row(row, rref, containing):
     ``rref`` maps a pivot column to its tail {column: Scalar}, meaning the
     pivot equals the tail combination in the quotient; tails only hold
     non-pivot columns.  Returns the new pivot index, or None if the row was
-    already in the span.
+    already in the span.  The row's entries are nonzero; the tails it
+    takes in add free columns only, so one ascending pass over its pivot
+    columns clears them all.
     """
-    while True:
-        hits = [j for j in row if j in rref]
-        if not hits:
-            break
-        hits.sort()
-        for j in hits:
-            c = row.pop(j, None)
-            if c is None or c.is_zero():
-                continue
-            for t, s in rref[j].items():
-                cs = c * s
-                v = row.get(t)
-                if v is None:
-                    row[t] = cs
+    for j in sorted([j for j in row if j in rref]):
+        c = row.pop(j)
+        for t, s in rref[j].items():
+            cs = c * s
+            v = row.get(t)
+            if v is None:
+                row[t] = cs
+            else:
+                v = v + cs
+                if v.is_zero():
+                    del row[t]
                 else:
-                    v = v + cs
-                    if v.is_zero():
-                        del row[t]
-                    else:
-                        row[t] = v
+                    row[t] = v
     if not row:
         return None
     lead = min(row)

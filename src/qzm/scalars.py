@@ -8,7 +8,13 @@ Two modes are supported:
   numerators over a single positive denominator.
 * ``generic`` -- the field of rational functions in an indeterminate q,
   stored as a canonical quotient of two integer-coefficient polynomials
-  (Laurent behaviour comes out of monomial denominators).
+  (Laurent behaviour comes out of monomial denominators).  Its kernels
+  cancel before they multiply (Knuth, TAOCP Vol. 2, 4.5.1, after Henrici
+  1956): a product takes the gcds of each numerator with the other
+  denominator, a sum the gcd of the two denominators and then of the cross
+  sum with that gcd, and an inverse swaps the canonical pair.  The gcds are
+  of the small operands, never of the products, and a gcd with a monomial
+  side is skipped, since only a power of q and an integer remain to cancel.
 
 All arithmetic is exact; there is no floating point anywhere.  Scalars are
 immutable values.  A field spec is immutable apart from its memo: each field
@@ -27,6 +33,7 @@ unsound, and zero-testing is the engine's core primitive.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -67,6 +74,15 @@ def _poly_mul_int(a, b):
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] += ai * bj
+    return _trim(out)
+
+
+def _poly_add_int(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
     return _trim(out)
 
 
@@ -163,7 +179,8 @@ class FieldSpec:
     """
 
     __slots__ = ("mode", "h", "degree", "modulus", "_red", "_qpow", "_qint",
-                 "_qfact", "zero", "one", "minus_one", "_mul", "_add", "_inv")
+                 "_qfact", "zero", "one", "minus_one", "_mul", "_add", "_inv",
+                 "_mul_keys", "_add_keys", "_inv_keys")
 
     def __init__(self, mode, h=None):
         if mode not in (ROOT, GENERIC):
@@ -201,6 +218,9 @@ class FieldSpec:
         self._mul = {}
         self._add = {}
         self._inv = {}
+        self._mul_keys = deque()
+        self._add_keys = deque()
+        self._inv_keys = deque()
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
         self.minus_one = self.from_int(-1)
@@ -222,9 +242,9 @@ class FieldSpec:
     def clear_memo(self):
         """Drop every memoised result.  The scalars in the tables point back
         at this field, so without this they live until a cyclic collection."""
-        self._mul.clear()
-        self._add.clear()
-        self._inv.clear()
+        for table in (self._mul, self._add, self._inv, self._mul_keys,
+                      self._add_keys, self._inv_keys):
+            table.clear()
 
     # -- constructors -------------------------------------------------------
 
@@ -332,11 +352,15 @@ def _pair_key(a, b):
     return b.num, b.den, a.num, a.den
 
 
-def _remember(table, key, value):
-    """Store one result, evicting the oldest entry once the table is full."""
+def _remember(table, keys, key, value):
+    """Store one result, evicting the oldest entry once the table is full.
+    ``keys`` holds the table's keys in insertion order, so the oldest is
+    found in O(1); a dict iterator would first skip the slots that earlier
+    evictions left dead."""
     if len(table) >= MEMO_SIZE:
-        del table[next(iter(table))]
+        del table[keys.popleft()]
     table[key] = value
+    keys.append(key)
     return value
 
 
@@ -353,7 +377,7 @@ class _Scalar:
         key = _pair_key(self, other)
         s = fs._add.get(key)
         if s is None:
-            s = _remember(fs._add, key, self._add_kernel(other))
+            s = _remember(fs._add, fs._add_keys, key, self._add_kernel(other))
         return s
 
     def __sub__(self, other):
@@ -366,7 +390,7 @@ class _Scalar:
         key = _pair_key(self, other)
         s = fs._mul.get(key)
         if s is None:
-            s = _remember(fs._mul, key, self._mul_kernel(other))
+            s = _remember(fs._mul, fs._mul_keys, key, self._mul_kernel(other))
         return s
 
     def invert(self):
@@ -376,7 +400,7 @@ class _Scalar:
         key = (self.num, self.den)
         s = fs._inv.get(key)
         if s is None:
-            s = _remember(fs._inv, key, self._invert_kernel())
+            s = _remember(fs._inv, fs._inv_keys, key, self._invert_kernel())
         return s
 
     def __truediv__(self, other):
@@ -520,55 +544,85 @@ class RootScalar(_Scalar):
 # generic-q scalars
 # ---------------------------------------------------------------------------
 
+def _is_monomial(p):
+    """Whether the nonzero polynomial p is c q^t: its only polynomial
+    factors are then q and integers, which ``_normalise`` cancels."""
+    return not any(p[:-1])
+
+
+def _cancel(num, den):
+    """num and den divided by their primitive gcd.  Skipped when either is
+    a monomial: the gcd is then a power of q."""
+    if _is_monomial(num) or _is_monomial(den):
+        return num, den
+    g = _pgcd(num, den)
+    if len(g) > 1:
+        return _poly_exact_div_int(num, g), _poly_exact_div_int(den, g)
+    return num, den
+
+
+def _normalise(fs, num, den):
+    """The canonical form of num/den (both trimmed, den nonzero) when their
+    only common factors are a power of q and an integer."""
+    if not num:
+        return fs.zero
+    if not num[0] and not den[0]:
+        t = min(next(i for i, c in enumerate(num) if c),
+                next(i for i, c in enumerate(den) if c))
+        num = num[t:]
+        den = den[t:]
+    g = gcd(*num, *den)
+    if den[-1] < 0:
+        g = -g
+    if g != 1:
+        num = tuple(x // g for x in num)
+        den = tuple(x // g for x in den)
+    return GenericScalar(fs, num, den)
+
+
 def _make_generic(fs, num, den):
     num = _trim(num)
     den = _trim(den)
     if not den:
         raise FieldError("zero denominator")
-    if not num:
-        return GenericScalar(fs, (), (1,))
-    # strip common monomial factor q^t
-    tz_n = next(i for i, c in enumerate(num) if c)
-    tz_d = next(i for i, c in enumerate(den) if c)
-    t = min(tz_n, tz_d)
-    if t:
-        num = num[t:]
-        den = den[t:]
-    cn, cd = _content(num), _content(den)
-    pn = tuple(x // cn for x in num)
-    pd = tuple(x // cd for x in den)
-    g = _pgcd(pn, pd)
-    if len(g) > 1:
-        pn = _poly_exact_div_int(pn, g)
-        pd = _poly_exact_div_int(pd, g)
-    cg = gcd(cn, cd)
-    cn //= cg
-    cd //= cg
-    num = tuple(x * cn for x in pn)
-    den = tuple(x * cd for x in pd)
-    if den[-1] < 0:
-        num = tuple(-x for x in num)
-        den = tuple(-x for x in den)
-    return GenericScalar(fs, num, den)
+    num, den = _cancel(num, den)
+    return _normalise(fs, num, den)
 
 
 def _generic_add(a, b):
-    x = _poly_mul_int(a.num, b.den)
-    y = _poly_mul_int(b.num, a.den)
-    n = max(len(x), len(y))
-    num = _trim([(x[i] if i < len(x) else 0) + (y[i] if i < len(y) else 0)
-                 for i in range(n)])
-    return _make_generic(a.fs, num, _poly_mul_int(a.den, b.den))
+    """Henrici's sum: with g = gcd(a.den, b.den), the cross sum over
+    a.den b.den / g can share a factor with g only."""
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if _is_monomial(ad) or _is_monomial(bd):
+        g = (1,)
+    else:
+        g = _pgcd(ad, bd)
+    if len(g) == 1:
+        num = _poly_add_int(_poly_mul_int(an, bd), _poly_mul_int(bn, ad))
+        return _normalise(a.fs, num, _poly_mul_int(ad, bd))
+    ad = _poly_exact_div_int(ad, g)
+    bd = _poly_exact_div_int(bd, g)
+    num = _poly_add_int(_poly_mul_int(an, bd), _poly_mul_int(bn, ad))
+    num, g = _cancel(num, g)
+    return _normalise(a.fs, num, _poly_mul_int(_poly_mul_int(ad, bd), g))
 
 
 def _generic_mul(a, b):
-    return _make_generic(a.fs, _poly_mul_int(a.num, b.num),
-                         _poly_mul_int(a.den, b.den))
+    """Knuth's product: cancel a.num against b.den and b.num against a.den,
+    then multiply the cofactors, which are coprime."""
+    an, ad, bn, bd = a.num, a.den, b.num, b.den
+    an, bd = _cancel(an, bd)
+    bn, ad = _cancel(bn, ad)
+    return _normalise(a.fs, _poly_mul_int(an, bn), _poly_mul_int(ad, bd))
 
 
 def _generic_invert(a):
-    """The inverse of a nonzero element."""
-    return _make_generic(a.fs, a.den, a.num)
+    """The inverse of a nonzero element: num and den swapped, which are
+    coprime already."""
+    if a.num[-1] < 0:
+        return GenericScalar(a.fs, tuple(-x for x in a.den),
+                             tuple(-x for x in a.num))
+    return GenericScalar(a.fs, a.den, a.num)
 
 
 class GenericScalar(_Scalar):
@@ -576,6 +630,8 @@ class GenericScalar(_Scalar):
 
     Canonical: no common polynomial or integer factor, no common monomial
     factor, positive leading denominator coefficient; zero is ()/(1,).
+    The form is unique, so the kernels, which cancel before they multiply,
+    return what one full gcd of the plain cross products would.
     """
 
     __slots__ = ("fs", "num", "den")

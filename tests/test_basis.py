@@ -6,6 +6,8 @@ instance, R2/R3 included, over every live word with the same incremental
 Gauss-Jordan, and requires every live word to reduce identically.
 """
 
+import hashlib
+import json
 import os
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 from qzm import cli
 from qzm.basis import (BlockBasis, FockContext, _compositions, _insert_row,
                        _level_words, chain_levels, commutation_classes)
+from qzm.cache import _encode_block
 from qzm.fock import word_from_letters, word_is_dead
 
 
@@ -140,3 +143,45 @@ def test_class_exponents():
     reps, where, conflicts = commutation_classes(n, None, words)
     assert reps == [] and conflicts == 0
     assert where == {a21 + a11 + a11: None, a11 + a21 + a11: None}
+
+
+# sha256 of the canonical JSON of every block record with 1 to max_letters
+# letters, in the order block_records_digest visits them
+PINNED_RECORDS = {
+    "gctx2": (6, 139,
+              "964d46b49eed6df8abb9215c5267209c9fa718216c3de08c0ccd60549a0e80b8"),
+    "gctx3": (4, 370,
+              "a251ccb115acd9e74e3bbe63f0e4ba11b5dc14a3a55490f511bf9b76b1ad6307"),
+    "ctx32": (4, 370,
+              "95e7f62c441d995fde3f766e455fb76fecda0924f42ca18f430f35cab75f9371"),
+}
+
+
+def block_records_digest(ctx, max_letters):
+    """(blocks, sha256) over the cache records of every block of ctx with
+    1 to max_letters letters, row content outer, flavor content inner."""
+    h = hashlib.sha256()
+    count = 0
+    for total in range(1, max_letters + 1):
+        for rc in _compositions(total, ctx.n):
+            for fc in _compositions(total, ctx.n):
+                record = [[list(rc), list(fc)],
+                          _encode_block(ctx, ctx.block_basis(rc, fc))]
+                h.update(json.dumps(record, sort_keys=True,
+                                    separators=(",", ":")).encode())
+                h.update(b"\n")
+                count += 1
+    return count, h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
+def test_block_records_are_pinned(request, name):
+    """Every echelon form, tail scalar and class exponent of the small
+    blocks, in the generic field for n=2 and n=3 and at root of unity for
+    (n, k) = (3, 2), stays bit for bit what it was.  The reduced echelon
+    form is unique, so a faster elimination or scalar kernel must not move
+    these digests; a change to the relation set does, and must update
+    PINNED_RECORDS in the same change."""
+    max_letters, blocks, digest = PINNED_RECORDS[name]
+    ctx = request.getfixturevalue(name)
+    assert block_records_digest(ctx, max_letters) == (blocks, digest)

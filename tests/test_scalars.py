@@ -9,8 +9,8 @@ from sympy import Poly, cyclotomic_poly, symbols
 from qzm.basis import FockContext
 from qzm.scalars import (FieldError, GENERIC, MEMO_SIZE, ROOT, UsageError,
                          _generic_add, _generic_invert, _generic_mul,
-                         _make_generic, _root_add, _root_invert, _root_mul,
-                         cyclotomic, make_field)
+                         _make_generic, _pair_key, _poly_mul_int, _root_add,
+                         _root_invert, _root_mul, cyclotomic, make_field)
 
 
 def sympy_cyclotomic(m):
@@ -167,6 +167,61 @@ def test_generic_canonical_roundtrip(num, den, field_generic):
         assert _make_generic(field_generic, s.num, s.den) == s
 
 
+def _kernel_operands(f, rng):
+    """Rational functions built from small factors: integer content, q,
+    repeated and shared factors, constant and monomial denominators and
+    negative leading coefficients.  Each comes with its negative and with
+    2 times its inverse, so that sums cancel to zero and products to
+    constants."""
+    factors = [(1, 1), (-1, 1), (2, 1), (1, 0, 1), (1, 1, 1), (0, 1),
+               (0, 0, 1), (3,), (-2,)]
+
+    def product(count):
+        p = (rng.choice((1, -1)),)
+        for _ in range(count):
+            p = _poly_mul_int(p, rng.choice(factors))
+        return p
+
+    out = [f.zero, f.one, f.minus_one, f.q_power(-2), f.from_fraction("-3/4")]
+    for _ in range(24):
+        out.append(_make_generic(f, product(rng.randint(0, 3)),
+                                 product(rng.randint(0, 3))))
+    for a in out[5:17]:
+        out.append(-a)
+        out.append(_make_generic(f, tuple(2 * x for x in a.den), a.num))
+    return out
+
+
+def test_generic_kernels_match_full_canonicalisation(field_generic):
+    """Each kernel cancels before it multiplies; what it returns must equal
+    one full canonicalisation of the plain cross products (of the swapped
+    pair for the inverse), whose canonical form is unique."""
+    f = field_generic
+    ops = _kernel_operands(f, random.Random(7))
+    sums_to_zero = products_to_constants = 0
+    for a in ops:
+        if not a.is_zero():
+            assert _same(_generic_invert(a), _make_generic(f, a.den, a.num))
+        for b in ops:
+            prod = _make_generic(f, _poly_mul_int(a.num, b.num),
+                                 _poly_mul_int(a.den, b.den))
+            assert _same(_generic_mul(a, b), prod), (a, b)
+            x = _poly_mul_int(a.num, b.den)
+            y = _poly_mul_int(b.num, a.den)
+            cross = [0] * max(len(x), len(y))
+            for i, c in enumerate(x):
+                cross[i] += c
+            for i, c in enumerate(y):
+                cross[i] += c
+            total = _make_generic(f, tuple(cross),
+                                  _poly_mul_int(a.den, b.den))
+            assert _same(_generic_add(a, b), total), (a, b)
+            sums_to_zero += total.is_zero() and not a.is_zero()
+            products_to_constants += (prod.den == (1,) and len(prod.num) == 1
+                                      and len(a.num) + len(a.den) > 2)
+    assert sums_to_zero and products_to_constants
+
+
 # ---------------------------------------------------------------------------
 # the per-field memo of *, + and invert
 # ---------------------------------------------------------------------------
@@ -234,6 +289,28 @@ def test_memo_tables_stay_bounded(mode):
     assert len(f._mul) == len(f._add) == len(f._inv) == MEMO_SIZE
 
 
+@pytest.mark.parametrize("mode", [ROOT, GENERIC])
+def test_memo_evicts_oldest_first(mode):
+    """After MEMO_SIZE + 7 misses each table holds exactly the newest
+    MEMO_SIZE keys, in insertion order, and so does its key queue."""
+    f = make_field(mode, 7 if mode == ROOT else None)
+    b = f.q_int(3)
+    ops = [f.from_int(i + 2) * f.q_power(1) for i in range(MEMO_SIZE + 7)]
+    f.clear_memo()
+    for a in ops:
+        a * b, a + b, a.invert()
+    pairs = [_pair_key(a, b) for a in ops][-MEMO_SIZE:]
+    singles = [(a.num, a.den) for a in ops][-MEMO_SIZE:]
+    for table, keys, expected in ((f._mul, f._mul_keys, pairs),
+                                  (f._add, f._add_keys, pairs),
+                                  (f._inv, f._inv_keys, singles)):
+        assert list(table) == expected
+        assert list(keys) == expected
+    f.clear_memo()
+    assert not any((f._mul, f._add, f._inv,
+                    f._mul_keys, f._add_keys, f._inv_keys))
+
+
 def test_released_context_frees_its_memo():
     """The memo's scalars point back at the field, so only a cyclic
     collection would free them; the context empties the memo itself."""
@@ -243,7 +320,8 @@ def test_released_context_frees_its_memo():
         ctx = FockContext(2, 2)
         ctx.family_basis((2, 1))
         field = ctx.field
-        tables = (field._mul, field._add, field._inv)
+        tables = (field._mul, field._add, field._inv, field._mul_keys,
+                  field._add_keys, field._inv_keys)
         assert all(tables)
         del ctx
         assert not any(tables)
