@@ -9,11 +9,12 @@ independently, which is what keeps desk-scale runs cheap.
 The columns of a block are commutation classes, not words.  R2 (rows
 differ, same flavor) and R3 (same row, flavors differ) make the words of
 one content a partially commutative (trace) monoid: every word is a unit
-q^E times its class's representative, so each live class is one column and
-the two-term rows are never streamed.  A class dies with any of its words
-that the vacuum-annihilation or h-th power rows kill outright (an O(1)
-predicate, in place of one-term pivot rows).  The three-term exchange rows
-and the determinant rows are mapped term by term onto columns, exact
+q^E times its class's representative, and ``class_rep`` computes both in
+closed form, so each live class is one column, the two-term rows are never
+streamed and a block keeps no per-word map.  A class dies with any of its
+words that the vacuum-annihilation or h-th power rows kill outright (an
+O(1) predicate, in place of one-term pivot rows).  The three-term exchange
+rows and the determinant rows are mapped term by term onto columns, exact
 duplicate rows are dropped, and the rest go through incremental
 Gauss-Jordan over the exact scalar field.
 
@@ -150,115 +151,97 @@ def _insert_row(row, rref, containing):
     return lead
 
 
-def commutation_classes(n, h, words):
-    """Group one chain level's words into R2/R3 commutation classes.
+def class_rep(n, w, memo=None):
+    """The word's R2/R3 commutation class: (rep, E) with w = q^E rep.
 
-    Two adjacent letters that share exactly one of row or flavor commute up
-    to a unit: R2 swaps them with factor 1, R3 (same row) with q^eps.  A
-    weighted union-find over these swaps writes each word as w = q^E rep,
-    where rep is the class's last word in ``words`` (the elimination
-    order), the one word of the class that elimination leaves free.  A
-    class is dead when one of its words is ``word_is_dead``, or when two
-    paths give a word different exponents (compared mod 2h in root mode):
-    then (q^a - q^b) rep = 0 forces rep = 0.
+    Letters that share exactly one of row or flavor commute up to a unit, so
+    the words of one content form a trace monoid.  rep is its greedy normal
+    form from the right: repeatedly move to the end the largest letter that
+    commutes with every letter after it (the lexicographic normal form of
+    the reversed word; Anisimov-Knuth 1979, Diekert-Rozenberg, The Book of
+    Traces, 1995), so the class's last word in the right-to-left order, the
+    one that word-level elimination leaves free.  The greedy on c u takes
+    rep(u) from the right, and c once c commutes with all that is left and
+    is larger than its last letter: rep(c u) is rep(u) with c inserted after
+    the longest prefix that c commutes with, less the letters larger than c
+    at its end.  Each same-row letter that c passes is an R3 swap, q^1 when
+    c has the larger flavor and q^-1 otherwise; R2 swaps cost nothing.  So
+    E = I(w) - I(rep), where I counts same-row pairs with the larger flavor
+    on the left, and no cycle of swaps can disagree, in either field.
 
-    Returns (reps, where, conflicts): the live classes' reps in order, a
-    map from each word that is not ``word_is_dead`` to its (rep, E), or to
-    None when its class is dead, and the number of classes a disagreeing
-    cycle killed.
+    The class is dead (some word is ``word_is_dead``) exactly when rep is.
+    If a word ends in a row >= 2 letter, that letter can move to the end,
+    so the largest one that can, rep's last, has row >= 2 too.  Once the
+    greedy takes one of h equal letters that some word has adjacent, nothing
+    lies between them in the dependence order, so it takes the others next.
+
+    ``memo`` maps words to (rep, E) and gains every suffix of w.
     """
-    index = {w: i for i, w in enumerate(words)}
-    parent = list(range(len(words)))
-    pot = [0] * len(words)          # words[i] = q^pot[i] * words[parent[i]]
-    killed = [word_is_dead(n, h, w) for w in words]
-    dead = killed[:]                # per root: the class is dead
-    period = None if h is None else 2 * h
-    conflicts = 0
-
-    def find(i):
-        path = []
-        while parent[i] != i:
-            path.append(i)
-            i = parent[i]
-        e = 0
-        for j in reversed(path):
-            e += pot[j]
-            pot[j] = e
-            parent[j] = i
-        return i, e
-
-    for i, w in enumerate(words):
-        for p in range(len(w) - 1):
-            x, y = w[p], w[p + 1]
-            # each swap once, from the word with the larger letter left;
-            # then a same-row swap has eps = +1
-            if x <= y or (x // n == y // n) == (x % n == y % n):
-                continue
-            j = index[w[:p] + bytes((y, x)) + w[p + 2:]]
-            e = int(x // n == y // n)           # words[i] = q^e words[j]
-            ri, ei = find(i)
-            rj, ej = find(j)
-            d = e + ej - ei                     # root ri = q^d root rj
-            if ri == rj:
-                if d if period is None else d % period:
-                    conflicts += not dead[ri]
-                    dead[ri] = True
-            elif ri < rj:                       # the later word stays root
-                parent[ri], pot[ri] = rj, d
-                dead[rj] = dead[rj] or dead[ri]
-            else:
-                parent[rj], pot[rj] = ri, -d
-                dead[ri] = dead[ri] or dead[rj]
-
-    where = {}
-    for i, w in enumerate(words):
-        if not killed[i]:
-            r, e = find(i)
-            where[w] = None if dead[r] else (words[r], e)
-    reps = [w for i, w in enumerate(words) if parent[i] == i and not dead[i]]
-    return reps, where, conflicts
+    memo = {} if memo is None else memo
+    out = memo.get(w)
+    if out is not None:
+        return out
+    if w:
+        rep, e = class_rep(n, w[1:], memo)
+        c = w[0]
+        row, flavor = divmod(c, n)
+        k = 0
+        for d in rep:
+            if (d // n == row) == (d % n == flavor):    # c, d do not commute
+                break
+            k += 1
+        while k and rep[k - 1] > c:
+            k -= 1
+        for d in rep[:k]:
+            if d // n == row:
+                e += 1 if c > d else -1
+        out = (rep[:k] + bytes((c,)) + rep[k:], e)
+    else:
+        out = (b"", 0)
+    memo[w] = out
+    return out
 
 
 class BlockBasis:
     """Reduction data for one (row content, flavor content) block chain.
 
     Columns are the live commutation classes, named by their reps in
-    elimination order.  ``where`` maps every word of a live class to
-    (column, exponent E) with w = q^E rep; ``rref`` maps a pivot column to
-    its tail {column: Scalar} over free columns.  ``live_words`` counts the
-    words that are not ``word_is_dead``, dead classes included.
+    elimination order, and ``index`` maps each rep to its column; a word
+    finds its column through ``class_rep``, so no per-word map is kept.
+    ``rref`` maps a pivot column to its tail {column: Scalar} over free
+    columns.  ``live_words`` counts the words that are not ``word_is_dead``,
+    dead classes included.
     """
 
-    __slots__ = ("key", "field", "columns", "where", "rref", "total_words",
+    __slots__ = ("key", "field", "columns", "index", "rref", "total_words",
                  "live_words", "basis_words", "dim")
 
-    def __init__(self, key, field, columns, where, rref, total_words,
-                 live_words):
+    def __init__(self, key, field, columns, rref, total_words, live_words):
         self.key = key
         self.field = field
         self.columns = columns
-        self.where = where
+        self.index = {w: j for j, w in enumerate(columns)}
         self.rref = rref
         self.total_words = total_words
         self.live_words = live_words
         self.basis_words = [w for j, w in enumerate(columns) if j not in rref]
         self.dim = len(self.basis_words)
 
-    def reduce_word(self, w):
+    def reduce_word(self, w, memo=None):
         """The word as a combination of basis words: tuple of (word, Scalar),
-        a None scalar meaning one; () for a word of a dead class."""
-        loc = self.where.get(w)
-        if loc is None:
+        a None scalar meaning one; () for a word of a dead class, whose rep
+        is no column.  ``memo`` is passed to ``class_rep``."""
+        rep, e = class_rep(len(self.key[0]), w, memo)
+        j = self.index.get(rep)
+        if j is None:
             return ()
-        j, e = loc
         tail = self.rref.get(j)
         unit = self.field.q_power(e) if e else None
         if tail is None:
-            return ((self.columns[j], unit),)
+            return ((rep, unit),)
         cols = self.columns
-        if unit is None:
-            return tuple((cols[t], s) for t, s in tail.items())
-        return tuple((cols[t], s * unit) for t, s in tail.items())
+        return tuple((cols[t], s if unit is None else s * unit)
+                     for t, s in tail.items())
 
 
 def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
@@ -269,19 +252,19 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
         raise BudgetExceeded(key, total, budget)
 
     level_words = _level_words(n, levels)
+    # (rep, E) of the live words, for this build only.  A class is dead
+    # exactly when its rep is (see class_rep), so the live reps are the
+    # columns, and a dead word never needs its class.
+    classes = {}
     columns = []
-    where = {}
     live = 0
     for ws in level_words:
-        reps, classes, _ = commutation_classes(n, h, ws)
-        live += len(classes)
-        col = {}
-        for rep in reps:
-            col[rep] = len(columns)
-            columns.append(rep)
-        for w, loc in classes.items():
-            if loc is not None:
-                where[w] = (col[loc[0]], loc[1])
+        for w in ws:
+            if not word_is_dead(n, h, w):
+                live += 1
+                if class_rep(n, w, classes)[0] == w:
+                    columns.append(w)
+    index = {w: j for j, w in enumerate(columns)}
 
     rref = {}
     containing = {}
@@ -291,10 +274,10 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
         for inst in instances:
             row = {}
             for w, c in inst.terms.items():
-                loc = where.get(w)
-                if loc is None or c.is_zero():
+                rep, e = classes.get(w, (None, 0))
+                j = index.get(rep)
+                if j is None or c.is_zero():
                     continue
-                j, e = loc
                 if e:
                     c = c * field.q_power(e)
                 v = row.get(j)
@@ -313,11 +296,10 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
     for ws in level_words[1:]:
         insert_instances(determinant_rows(field, n, h, eps_sign, ws))
 
-    vac = where.get(b"")
-    if vac is not None and vac[0] in rref:
+    if index.get(b"", -1) in rref:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")
-    return BlockBasis(key, field, columns, where, rref, total, live)
+    return BlockBasis(key, field, columns, rref, total, live)
 
 
 class FamilyBasis:
@@ -363,6 +345,7 @@ class FockContext:
         self.disk_cache = disk_cache
         self._blocks = {}
         self._wred = {}
+        self._classes = {}      # class_rep's memo for reduce_word
         self.stats = {"blocks_built": 0, "max_block_words": 0,
                       "blocks_loaded": 0}
 
@@ -412,7 +395,7 @@ class FockContext:
             red = ()
         else:
             bb = self.block_basis(word_row_content(n, w), word_flavor_content(n, w))
-            red = bb.reduce_word(w)
+            red = bb.reduce_word(w, self._classes)
         self._wred[w] = red
         return red
 

@@ -10,9 +10,11 @@ are ignored on load and quarantined by validation, which also checks the
 stored record with the exact certificate `FockContext.certify`: every
 relation instance of the block chain reduces to zero through it.  A
 record that cannot be read or decoded is a miss, so the block is rebuilt.
-Records are in class coordinates (see qzm.basis): the echelon form is over
-the commutation-class reps, and every other live word is stored as integer
-(column, exponent) pairs, so a load parses scalars only for pivot rows.
+Records are in class coordinates (see qzm.basis): the basis words and the
+echelon form over the commutation-class reps, nothing per word, since any
+word finds its class with ``class_rep``.  A load rejects a column that is
+not a live class rep of the block's chain: the certificate can miss that
+fault, since a live class read as dead may still satisfy every relation.
 
 Writes are atomic (temp file, then rename) and nothing is merged, so
 processes sharing a directory lose no blocks: writers of different blocks
@@ -29,11 +31,11 @@ import json
 import os
 import tempfile
 
-from .basis import BlockBasis, FockContext
-from .fock import (RELATIONS, eps_tag, word_from_letters, word_letters,
-                   word_sort_key)
+from .basis import BlockBasis, FockContext, chain_levels, class_rep
+from .fock import (RELATIONS, eps_tag, word_flavor_content, word_from_letters,
+                   word_is_dead, word_letters, word_row_content, word_sort_key)
 
-SCHEMA = "qzm-basis/3"
+SCHEMA = "qzm-basis/4"
 
 
 def _canon_key(n, field_tag, block_key):
@@ -77,9 +79,8 @@ def _digest(record):
 
 
 def _encode_block(ctx, bb):
-    """The block in class coordinates: the columns are the basis and pivot
-    words (the class reps), ordered by ``word_sort_key``; every other word
-    of a live class is stored as (column, exponent) integers."""
+    """The block in class coordinates: the basis words and the echelon
+    form over the columns (the class reps), ordered by ``word_sort_key``."""
     n = ctx.n
     cols = bb.columns
     rows = []
@@ -89,8 +90,6 @@ def _encode_block(ctx, bb):
             [[_encode_word(n, cols[t]), s.encode()]
              for t, s in sorted(bb.rref[lead].items())],
         ])
-    words = [[_encode_word(n, w), j, e] for w, (j, e) in bb.where.items()
-             if cols[j] != w]
     return {
         "flavor_content": list(bb.key[1]),
         "total_words": bb.total_words,
@@ -98,28 +97,32 @@ def _encode_block(ctx, bb):
         "dim": bb.dim,
         "basis": [_encode_word(n, w) for w in bb.basis_words],
         "rows": rows,
-        "words": words,
     }
 
 
 def _decode_block(ctx, key, record):
+    """The stored block; ValueError when a basis or lead word is not a live
+    class rep with one of the chain levels' contents."""
     n = ctx.n
     field = ctx.field
     basis = [_decode_word(n, e) for e in record["basis"]]
     leads = [_decode_word(n, r[0]) for r in record["rows"]]
+    levels = set(chain_levels(*key))
+    memo = {}
+    for w in basis + leads:
+        if (class_rep(n, w, memo)[0] != w or word_is_dead(n, ctx.h, w)
+                or (word_row_content(n, w),
+                    word_flavor_content(n, w)) not in levels):
+            raise ValueError(f"column {w.hex()} is not a live class rep")
     columns = sorted(set(basis) | set(leads), key=word_sort_key)
-    where = {w: (j, 0) for j, w in enumerate(columns)}
+    index = {w: j for j, w in enumerate(columns)}
     rref = {}
     for enc_lead, enc_tail in record["rows"]:
-        lead = where[_decode_word(n, enc_lead)][0]
-        rref[lead] = {where[_decode_word(n, we)][0]: field.decode(se)
-                      for we, se in enc_tail}
-    for enc, j, e in record["words"]:
-        if not 0 <= j < len(columns):
-            raise IndexError(f"column {j} out of range")
-        where[_decode_word(n, enc)] = (j, int(e))
-    return BlockBasis(key, field, columns, where, rref,
-                      record["total_words"], record["live_words"])
+        rref[index[_decode_word(n, enc_lead)]] = {
+            index[_decode_word(n, we)]: field.decode(se)
+            for we, se in enc_tail}
+    return BlockBasis(key, field, columns, rref, record["total_words"],
+                      record["live_words"])
 
 
 def _read_json(path):

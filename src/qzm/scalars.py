@@ -66,6 +66,10 @@ def _trim(c):
 
 
 def _poly_mul_int(a, b):
+    if a == (1,):           # operands are trimmed: the other is the product
+        return b
+    if b == (1,):
+        return a
     if not a or not b:
         return ()
     out = [0] * (len(a) + len(b) - 1)
@@ -591,8 +595,11 @@ def _make_generic(fs, num, den):
 
 def _generic_add(a, b):
     """Henrici's sum: with g = gcd(a.den, b.den), the cross sum over
-    a.den b.den / g can share a factor with g only."""
+    a.den b.den / g can share a factor with g only.  Equal denominators are
+    g: then the sum of the numerators over it needs one gcd."""
     an, ad, bn, bd = a.num, a.den, b.num, b.den
+    if ad == bd:
+        return _normalise(a.fs, *_cancel(_poly_add_int(an, bn), ad))
     if _is_monomial(ad) or _is_monomial(bd):
         g = (1,)
     else:

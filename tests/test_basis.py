@@ -3,7 +3,8 @@
 ``build_block`` eliminates over R2/R3 commutation classes and never
 streams the two-term rows.  The oracle here eliminates every relation
 instance, R2/R3 included, over every live word with the same incremental
-Gauss-Jordan, and requires every live word to reduce identically.
+Gauss-Jordan, and requires every live word to reduce identically.  A
+weighted union-find over the swaps is the oracle for ``class_rep``.
 """
 
 import hashlib
@@ -14,9 +15,77 @@ import pytest
 
 from qzm import cli
 from qzm.basis import (BlockBasis, FockContext, _compositions, _insert_row,
-                       _level_words, chain_levels, commutation_classes)
+                       _level_words, chain_levels, class_rep)
 from qzm.cache import _encode_block
 from qzm.fock import word_from_letters, word_is_dead
+
+
+def commutation_classes(n, h, words):
+    """Group one chain level's words into R2/R3 commutation classes.
+
+    Two adjacent letters that share exactly one of row or flavor commute up
+    to a unit: R2 swaps them with factor 1, R3 (same row) with q^eps.  A
+    weighted union-find over these swaps writes each word as w = q^E rep,
+    where rep is the class's last word in ``words`` (the elimination
+    order).  A class is dead when one of its words is ``word_is_dead``, or
+    when two paths give a word different exponents (compared mod 2h in
+    root mode): then (q^a - q^b) rep = 0 forces rep = 0.
+
+    Returns (reps, where, conflicts): the live classes' reps in order, a
+    map from each word that is not ``word_is_dead`` to its (rep, E), or to
+    None when its class is dead, and the number of classes a disagreeing
+    cycle killed.
+    """
+    index = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
+    pot = [0] * len(words)          # words[i] = q^pot[i] * words[parent[i]]
+    killed = [word_is_dead(n, h, w) for w in words]
+    dead = killed[:]                # per root: the class is dead
+    period = None if h is None else 2 * h
+    conflicts = 0
+
+    def find(i):
+        path = []
+        while parent[i] != i:
+            path.append(i)
+            i = parent[i]
+        e = 0
+        for j in reversed(path):
+            e += pot[j]
+            pot[j] = e
+            parent[j] = i
+        return i, e
+
+    for i, w in enumerate(words):
+        for p in range(len(w) - 1):
+            x, y = w[p], w[p + 1]
+            # each swap once, from the word with the larger letter left;
+            # then a same-row swap has eps = +1
+            if x <= y or (x // n == y // n) == (x % n == y % n):
+                continue
+            j = index[w[:p] + bytes((y, x)) + w[p + 2:]]
+            e = int(x // n == y // n)           # words[i] = q^e words[j]
+            ri, ei = find(i)
+            rj, ej = find(j)
+            d = e + ej - ei                     # root ri = q^d root rj
+            if ri == rj:
+                if d if period is None else d % period:
+                    conflicts += not dead[ri]
+                    dead[ri] = True
+            elif ri < rj:                       # the later word stays root
+                parent[ri], pot[ri] = rj, d
+                dead[rj] = dead[rj] or dead[ri]
+            else:
+                parent[rj], pot[rj] = ri, -d
+                dead[ri] = dead[ri] or dead[rj]
+
+    where = {}
+    for i, w in enumerate(words):
+        if not killed[i]:
+            r, e = find(i)
+            where[w] = None if dead[r] else (words[r], e)
+    reps = [w for i, w in enumerate(words) if parent[i] == i and not dead[i]]
+    return reps, where, conflicts
 
 
 def word_level_reductions(ctx, key):
@@ -100,24 +169,18 @@ def test_sweep_instances_touch_a_live_ending(ctx32, gctx3):
         assert_every_instance_touches_a_live_ending(ctx, keys)
 
 
-def _altered(bb, rref=None, where=None):
-    return BlockBasis(bb.key, bb.field, bb.columns, where or bb.where,
-                      rref or bb.rref, bb.total_words, bb.live_words)
-
-
 def test_certificate_rejects_an_altered_block(ctx22):
     """certify accepts a built block, and rejects it after one tail scalar
-    changes and after one class exponent changes (the R2/R3 part)."""
+    changes."""
     bb = ctx22.block_basis((2, 1), (1, 2))
     assert ctx22.certify(bb)
     lead = next(j for j, tail in bb.rref.items() if tail)
     tail = dict(bb.rref[lead])
     t = next(iter(tail))
     tail[t] = tail[t] + ctx22.field.one
-    assert not ctx22.certify(_altered(bb, rref={**bb.rref, lead: tail}))
-    w, (j, e) = next((w, loc) for w, loc in bb.where.items()
-                     if bb.columns[loc[0]] != w and bb.reduce_word(w))
-    assert not ctx22.certify(_altered(bb, where={**bb.where, w: (j, e + 1)}))
+    assert not ctx22.certify(BlockBasis(bb.key, bb.field, bb.columns,
+                                        {**bb.rref, lead: tail},
+                                        bb.total_words, bb.live_words))
 
 
 def test_generic_blocks_match_word_level(gctx2):
@@ -133,27 +196,65 @@ def test_class_exponents():
     n = 2
     a11, a12, a21 = (word_from_letters(n, [rf]) for rf in
                      ((1, 1), (1, 2), (2, 1)))
-    words = sorted([a11 + a12, a12 + a11], key=lambda w: w[::-1])
-    reps, where, conflicts = commutation_classes(n, None, words)
-    assert reps == [a11 + a12] and conflicts == 0
-    assert where == {a11 + a12: (a11 + a12, 0), a12 + a11: (a11 + a12, 1)}
-    words = sorted([a21 + a11 + a11, a11 + a21 + a11, a11 + a11 + a21],
-                   key=lambda w: w[::-1])
-    # the words ending in a row-2 letter are dead, and so is their class
-    reps, where, conflicts = commutation_classes(n, None, words)
-    assert reps == [] and conflicts == 0
-    assert where == {a21 + a11 + a11: None, a11 + a21 + a11: None}
+    assert class_rep(n, a11 + a12) == (a11 + a12, 0)
+    assert class_rep(n, a12 + a11) == (a11 + a12, 1)
+    words = [a21 + a11 + a11, a11 + a21 + a11, a11 + a11 + a21]
+    # one class, whose rep ends in a row-2 letter: the class is dead
+    assert {class_rep(n, w) for w in words} == {(a11 + a11 + a21, 0)}
+    assert word_is_dead(n, None, a11 + a11 + a21)
+    # at h = 3 the word has no three equal letters in a row, but its class
+    # and its rep do: dead too
+    w = a11 + a12 + a11 + a11
+    assert not word_is_dead(n, 3, w)
+    assert class_rep(n, w) == (a11 + a11 + a11 + a12, 2)
+    assert word_is_dead(n, 3, a11 + a11 + a11 + a12)
+
+
+def assert_class_rep_matches_union_find(n, h, keys):
+    """On every chain level of the blocks, class_rep gives the union-find's
+    reps and exponents (mod 2h in root mode), and its dead classes are
+    those whose rep is dead."""
+    levels = sorted({lv for key in keys for lv in chain_levels(*key)})
+    for ws in _level_words(n, levels):
+        reps, where, conflicts = commutation_classes(n, h, ws)
+        assert conflicts == 0
+        classes = {w: class_rep(n, w) for w in ws}
+        # a class is dead exactly when its rep is
+        assert [w for w in ws if classes[w][0] == w
+                and not word_is_dead(n, h, w)] == reps
+        for w, loc in where.items():
+            rep, e = classes[w]
+            if loc is None:
+                assert word_is_dead(n, h, rep), w
+            else:
+                assert loc[0] == rep and not word_is_dead(n, h, rep), w
+                assert (loc[1] - e) % (2 * h) == 0 if h else loc[1] == e, w
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (2, 7)])
+def test_class_rep_matches_union_find_on_fprime(monkeypatch, n, k):
+    ctx = fprime_context(monkeypatch, n, k)
+    assert_class_rep_matches_union_find(n, ctx.h, list(ctx._blocks))
+
+
+@pytest.mark.parametrize("h,letters", [(None, 4), (3, 6)])
+def test_class_rep_matches_union_find_n2(h, letters):
+    """Generic n=2 up to 4 letters, and h = 3 up to 6 letters, where 45
+    classes die by an h-th power that only some of their words show."""
+    keys = [(rc, fc) for t in range(1, letters + 1)
+            for rc in _compositions(t, 2) for fc in _compositions(t, 2)]
+    assert_class_rep_matches_union_find(2, h, keys)
 
 
 # sha256 of the canonical JSON of every block record with 1 to max_letters
 # letters, in the order block_records_digest visits them
 PINNED_RECORDS = {
     "gctx2": (6, 139,
-              "964d46b49eed6df8abb9215c5267209c9fa718216c3de08c0ccd60549a0e80b8"),
+              "3a11f416c7eb8a9d03a4dcab4be7df9afe6d9a0c5fa435633248a63df5cbc35b"),
     "gctx3": (4, 370,
-              "a251ccb115acd9e74e3bbe63f0e4ba11b5dc14a3a55490f511bf9b76b1ad6307"),
+              "9d660d64d0cf8bbe9afa8390133dbbf16a2bd4cc3cf1538065cb98e65e19eaea"),
     "ctx32": (4, 370,
-              "95e7f62c441d995fde3f766e455fb76fecda0924f42ca18f430f35cab75f9371"),
+              "e0e88689b97131d89b07b1c9e3cbc35c2ccb8ce73aaee09cf9f1fec911b65cc9"),
 }
 
 
@@ -176,9 +277,9 @@ def block_records_digest(ctx, max_letters):
 
 @pytest.mark.parametrize("name", sorted(PINNED_RECORDS))
 def test_block_records_are_pinned(request, name):
-    """Every echelon form, tail scalar and class exponent of the small
-    blocks, in the generic field for n=2 and n=3 and at root of unity for
-    (n, k) = (3, 2), stays bit for bit what it was.  The reduced echelon
+    """Every basis, echelon form and tail scalar of the small blocks, in
+    the generic field for n=2 and n=3 and at root of unity for (n, k) =
+    (3, 2), stays bit for bit what it was.  The reduced echelon
     form is unique, so a faster elimination or scalar kernel must not move
     these digests; a change to the relation set does, and must update
     PINNED_RECORDS in the same change."""

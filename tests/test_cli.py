@@ -8,8 +8,8 @@ import pytest
 
 import qzm.cache
 from qzm import cli
-from qzm.basis import FockContext
-from qzm.cache import DiskCache, _digest
+from qzm.basis import BlockBasis, FockContext
+from qzm.cache import DiskCache, _decode_block, _digest
 from qzm.qalgebra import resolve_eps_sign
 from qzm.reports import strip_timing
 
@@ -241,6 +241,45 @@ def test_cache_validate_certifies_a_checksummed_record(tmp_path):
     assert os.path.exists(path + ".quarantined")
 
 
+def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
+    """A checksummed record whose basis word a11 a12 is replaced by a12 a11,
+    another word of its class, reads every word of that class as dead, and
+    the certificate accepts that.  The load rejects such a column, and one
+    of another content, so the block is rebuilt and validation quarantines
+    the file."""
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    bb = ctx.block_basis((2, 0), (1, 1))
+    assert bb.basis_words == [bytes((0, 1))]
+    assert ctx.certify(BlockBasis(bb.key, bb.field, [bytes((1, 0))], bb.rref,
+                                  bb.total_words, bb.live_words))
+    path = _only_block_file(cache_dir)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert data["block"]["basis"] == [[[1, 1], [1, 2]]]
+    for other in ([[1, 2], [1, 1]], [[1, 1], [1, 1]]):
+        data["block"]["basis"] = [other]
+        with pytest.raises(ValueError):
+            _decode_block(ctx, bb.key, data["block"])
+    data["block"]["basis"] = [[[1, 2], [1, 1]]]
+    data["sha256"] = _digest(data["block"])
+    text = json.dumps(data)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    [rec] = report["checks"]
+    assert rec["result"] == "fail"
+    assert rec["detail"] == "quarantined"
+    assert os.path.exists(path + ".quarantined")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    assert ctx2.block_basis((2, 0), (1, 1)).basis_words == bb.basis_words
+    assert ctx2.stats["blocks_loaded"] == 0
+    assert ctx2.stats["blocks_built"] == 1
+
+
 def _assert_old_file_ignored_and_quarantined(tmp_path, old_layout):
     """The block file turned into an older layout or another relation set,
     written at the block's own file name and at another name, is never loaded, and validation
@@ -286,6 +325,17 @@ def test_word_coordinate_file_ignored_and_quarantined(tmp_path):
                         if k not in ("words", "live_words")}
         return old
     _assert_old_file_ignored_and_quarantined(tmp_path, word_coordinates)
+
+
+def test_class_map_file_ignored_and_quarantined(tmp_path):
+    def class_map(data):
+        # schema qzm-basis/3: the same record with its per-word class map,
+        # which is empty for this block (each class is a single word)
+        old = dict(data, schema="qzm-basis/3")
+        old["block"] = dict(data["block"], words=[])
+        old["sha256"] = _digest(old["block"])
+        return old
+    _assert_old_file_ignored_and_quarantined(tmp_path, class_map)
 
 
 def test_other_relation_set_file_ignored_and_quarantined(tmp_path):

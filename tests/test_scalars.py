@@ -172,7 +172,8 @@ def _kernel_operands(f, rng):
     repeated and shared factors, constant and monomial denominators and
     negative leading coefficients.  Each comes with its negative and with
     2 times its inverse, so that sums cancel to zero and products to
-    constants."""
+    constants, and two share a denominator that their sum cancels in
+    part."""
     factors = [(1, 1), (-1, 1), (2, 1), (1, 0, 1), (1, 1, 1), (0, 1),
                (0, 0, 1), (3,), (-2,)]
 
@@ -189,6 +190,10 @@ def _kernel_operands(f, rng):
     for a in out[5:17]:
         out.append(-a)
         out.append(_make_generic(f, tuple(2 * x for x in a.den), a.num))
+    # one denominator whose numerators sum to a multiple of its factor:
+    # q/(1+q)^2 + 1/(1+q)^2 = 1/(1+q)
+    out.append(_make_generic(f, (0, 1), (1, 2, 1)))
+    out.append(_make_generic(f, (1,), (1, 2, 1)))
     return out
 
 
