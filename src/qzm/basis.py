@@ -35,6 +35,7 @@ block bases are shared between chiralities.
 from __future__ import annotations
 
 import weakref
+from functools import partial
 from math import factorial
 
 from . import fock
@@ -424,8 +425,9 @@ class FockContext:
         """The exact certificate for an echelon form eliminated elsewhere
         (a cache record): every relation instance of the block chain, R2/R3
         included, reduces to zero through ``bb`` alone."""
+        reduce_word = partial(bb.reduce_word, memo={})
         for inst in self.relation_instances(*bb.key):
-            acc = _reduce_terms(inst.terms, bb.reduce_word)
+            acc = _reduce_terms(inst.terms, reduce_word)
             if any(not c.is_zero() for c in acc.values()):
                 return False
         return True
