@@ -13,10 +13,14 @@ q^E times its class's representative, and ``class_rep`` computes both in
 closed form, so each live class is one column, the two-term rows are never
 streamed and a block keeps no per-word map.  A class dies with any of its
 words that the vacuum-annihilation or h-th power rows kill outright (an
-O(1) predicate, in place of one-term pivot rows).  The three-term exchange
-rows and the determinant rows are mapped term by term onto columns, exact
-duplicate rows are dropped, and the rest go through incremental
-Gauss-Jordan over the exact scalar field.
+O(1) predicate, in place of one-term pivot rows).  A block never lists its
+words either: one depth-first search yields the class representatives of
+every content up to the block's, its live words are counted by a dynamic
+program, and the three-term exchange rows and the determinant rows are
+made once per (prefix representative, window or split, suffix
+representative), which spans what all their instances span (the proof is
+in ``build_block``).  Each row is mapped term by term onto columns and
+goes through incremental Gauss-Jordan over the exact scalar field.
 
 The word order eliminates longer words toward shorter ones (so determinant
 chains rewrite downward and the vacuum stays a basis word); within one
@@ -35,13 +39,14 @@ block bases are shared between chiralities.
 from __future__ import annotations
 
 import weakref
-from functools import partial
+from functools import lru_cache, partial
 from math import factorial
 
 from . import fock
-from .fock import (EPS_SIGN, ChiralState, class_words, determinant_rows,
-                   exchange_rows, word_flavor_content, word_is_dead,
-                   word_row_content)
+from .fock import (EPS_SIGN, ChiralState, class_words, determinant_blocks,
+                   determinant_bare, determinant_rows, exchange_rows,
+                   exchange_terms, word_flavor_content, word_is_dead,
+                   word_row_content, word_sort_key)
 from .scalars import GENERIC, ROOT, UsageError, make_field
 
 DEFAULT_BUDGET = 100000
@@ -245,57 +250,225 @@ class BlockBasis:
                      for t, s in tail.items())
 
 
-def build_block(field, n, h, eps_sign, row_content, flavor_content, budget):
+def live_count(n, h, row_content, flavor_content, memo):
+    """The number of words of the content that are not ``word_is_dead``,
+    without listing them.  ``memo`` holds counts for this (n, h)."""
+    return _live_tails(n, h, tuple(row_content), tuple(flavor_content), -1, 0,
+                       memo)
+
+
+def _live_tails(n, h, rc, fc, last, run, memo):
+    """The words t of content (rc, fc) that leave w t live, for any w ending
+    in ``run`` copies of letter ``last`` (-1: w is empty): w t ends in a
+    row-1 letter and has no h equal letters in a row.  A dynamic program
+    over (content, last letter, run length)."""
+    N = sum(rc)
+    if not N:
+        return int(last < n)
+    if h is None or N + run < h:
+        # no run can reach h, and a share rc[0]/N of the row sequences
+        # ends in row 1
+        return class_size(rc, fc) * rc[0] // N
+    state = (rc, fc, last, run)
+    out = memo.get(state)
+    if out is None:
+        out = 0
+        for b in range(n * n):
+            i, a = divmod(b, n)
+            r = run + 1 if b == last else 1
+            if rc[i] and fc[a] and r < h:
+                out += _live_tails(n, h, rc[:i] + (rc[i] - 1,) + rc[i + 1:],
+                                   fc[:a] + (fc[a] - 1,) + fc[a + 1:],
+                                   b, r, memo)
+        memo[state] = out
+    return out
+
+
+class _Alphabet:
+    """The letters for one n, and contents packed into one int: a count per
+    row, then one per flavor, each in a field of ``width`` bits whose top
+    bit is a guard.  Then d is at most c in every count exactly when
+    ((c | guard) - d) & guard == guard, and c - d is their difference."""
+
+    def __init__(self, n, width):
+        self.n = n
+        self.width = width
+        self.guard = sum(1 << (k * width + width - 1) for k in range(2 * n))
+        size = n * n
+        delta = [(1 << (b // n) * width) + (1 << (n + b % n) * width)
+                 for b in range(size)]
+        # (letter, its byte, its content, the letters it commutes with)
+        self.letters = [(b, bytes((b,)), delta[b],
+                         sum(1 << d for d in range(size)
+                             if (d // n == b // n) != (d % n == b % n)))
+                        for b in range(size)]
+        # the R1 windows x y, whose rows and flavors both differ
+        self.windows = [(x, y, delta[x] + delta[y])
+                        for x in range(size) for y in range(size)
+                        if x // n != y // n and x % n != y % n]
+
+    def pack(self, row_content, flavor_content):
+        return sum(c << k * self.width
+                   for k, c in enumerate(row_content + flavor_content))
+
+
+@lru_cache(maxsize=None)
+def _alphabet(n, length):
+    """The alphabet for contents of at most ``length`` letters."""
+    return _Alphabet(n, length.bit_length() + 1)
+
+
+def _reps_by_content(alphabet, h, top):
+    """Every class rep of content at most ``top`` without h equal letters in
+    a row, as {packed content: its reps in lexicographic order}.
+
+    A word is a rep exactly when it has no factor a u b with a > b where a
+    commutes with b and with every letter of u: the greedy in ``class_rep``
+    would move such an a past u b.  The words without such a factor, and
+    without h equal letters in a row, are closed under taking factors, so a
+    depth-first search that appends one letter at a time and checks only
+    the new one yields exactly these reps.  It keeps the set S of letters
+    that commute with every letter after them: b may follow when no letter
+    of S that commutes with b is larger than b, and S then becomes
+    (S & comm(b)) | {b}.
+    """
+    guard = alphabet.guard
+    room = top | guard
+    fitting = {}        # content -> the letters that still fit after it
+    reps = {}
+
+    def grow(w, c, s, last, run):
+        ws = reps.get(c)
+        if ws is None:
+            reps[c] = ws = []
+            fitting[c] = [(b, byte, c + d, comm)
+                          for b, byte, d, comm in alphabet.letters
+                          if ((room - c - d) & guard) == guard]
+        ws.append(w)
+        for b, byte, cd, comm in fitting[c]:
+            m = s & comm
+            if not m >> (b + 1):
+                r = run + 1 if b == last else 1
+                if r != h:
+                    grow(w + byte, cd, m | (1 << b), b, r)
+
+    grow(b"", 0, 0, -1, 0)
+    return reps
+
+
+def _live_reps(alphabet, reps, levels):
+    """The chain levels' live reps (empty, or ending in a row-1 letter), in
+    the order of ``word_sort_key``: the columns of the block."""
+    n = alphabet.n
+    return sorted((w for r, f in levels
+                   for w in reps.get(alphabet.pack(r, f), ())
+                   if not w or w[-1] < n), key=word_sort_key)
+
+
+def build_block(field, n, h, eps_sign, row_content, flavor_content, budget,
+                live_memo):
+    """The quotient basis of one block chain, eliminated over class reps,
+    without listing its words.
+
+    The columns are the chain levels' live class reps, ordered by
+    ``word_sort_key``.  One depth-first search (``_reps_by_content``)
+    yields the reps of every content up to the block's own, and
+    ``live_count`` counts the live words (its ``live_memo`` is kept by the
+    context).
+
+    The rows are keyed by reps, not by words.  Call u0 and v0 the prefix
+    and the suffix of an R1 instance's window x y (its words are u0 x y v0,
+    u0 y x v0 and u0 x' y' v0), or of an R5 instance's split point.
+    (i) An R2 or R3 swap inside u0, or inside v0, multiplies every term
+    word of the instance by the same unit q^e: the terms share u0 and v0,
+    and the unit depends only on the two letters swapped.  (ii) The
+    coefficients depend only on x and y (for R5, on nothing) and on the
+    row content of v0, which the swaps keep.  So, with u0 = q^a rep(u0)
+    and v0 = q^b rep(v0) modulo R2/R3, the instance's row in class
+    coordinates is q^(a+b) times the row of rep(u0), x y, rep(v0): every
+    instance is a unit multiple of one row per (prefix rep, window, suffix
+    rep), and of one per (prefix rep, suffix rep) for R5 on the lower
+    levels.  These rows span the same space, and the reduced echelon form,
+    unique for a span and a column order, is the one all instances give.
+    Rows that hold dead words only are not made: a suffix rep that ends in
+    a row >= 2 letter has such a word in its class (see ``class_rep``), a
+    rep with h equal letters in a row is dead, and so is every word of a
+    window x y with both rows >= 2 at the end.
+
+    Rows with the shortest suffixes go first, top level first; elimination
+    is fastest so (in the opposite order it took 3.6 times as long on
+    ``fprime --n 3 --k 2``).
+    """
     key = (tuple(row_content), tuple(flavor_content))
     levels = chain_levels(*key)
     total = sum(class_size(r, f) for r, f in levels)
     if total > budget:
         raise BudgetExceeded(key, total, budget)
+    live = sum(live_count(n, h, r, f, live_memo) for r, f in levels)
 
-    level_words = _level_words(n, levels)
-    # (rep, E) of the live words, for this build only.  A class is dead
-    # exactly when its rep is (see class_rep), so the live reps are the
-    # columns, and a dead word never needs its class.
-    classes = {}
-    columns = []
-    live = 0
-    for ws in level_words:
-        for w in ws:
-            if not word_is_dead(n, h, w):
-                live += 1
-                if class_rep(n, w, classes)[0] == w:
-                    columns.append(w)
+    alphabet = _alphabet(n, sum(key[0]))
+    guard = alphabet.guard
+    reps = _reps_by_content(alphabet, h, alphabet.pack(*key))
+    columns = _live_reps(alphabet, reps, levels)
     index = {w: j for j, w in enumerate(columns)}
+    # the suffix reps that can end a live word (empty, or ending in row 1),
+    # by content, shortest first
+    ends = []
+    for c, ws in reps.items():
+        vs = [w for w in ws if not w or w[-1] < n]
+        if vs:
+            ends.append((c, vs))
+    ends.sort(key=lambda e: len(e[1][0]))
 
     rref = {}
     containing = {}
-    seen = set()
+    classes = {}        # class_rep's memo, for this build only
+    qpow = field.q_power
 
-    def insert_instances(instances):
-        for inst in instances:
+    def insert_rows(us, terms):
+        """Insert one row per prefix u: the terms (t, c) say c * (u t)."""
+        for u in us:
             row = {}
-            for w, c in inst.terms.items():
-                rep, e = classes.get(w, (None, 0))
+            for t, c in terms:
+                w = u + t
+                rep, e = classes.get(w) or class_rep(n, w, classes)
                 j = index.get(rep)
-                if j is None or c.is_zero():
+                if j is None:
                     continue
                 if e:
-                    c = c * field.q_power(e)
+                    c = c * qpow(e)
                 v = row.get(j)
                 row[j] = c if v is None else v + c
             row = {j: c for j, c in row.items() if not c.is_zero()}
             if row:
-                sig = frozenset(row.items())
-                if sig not in seen:
-                    seen.add(sig)
-                    _insert_row(row, rref, containing)
+                _insert_row(row, rref, containing)
 
-    # three-term exchange rows, then determinant links; the two-term R2/R3
-    # rows hold by construction of the columns
-    for ws in level_words:
-        insert_instances(exchange_rows(field, n, h, ws, mode="long"))
-    for ws in level_words[1:]:
-        insert_instances(determinant_rows(field, n, h, eps_sign, ws))
+    if len(levels) > 1:
+        blocks = determinant_blocks(field, n, eps_sign)
+    for level, (r, f) in enumerate(levels):
+        c = alphabet.pack(r, f)
+        room = c | guard
+        for cv, vs in ends:
+            if ((room - cv) & guard) != guard:
+                continue
+            rest = c - cv
+            rest_room = rest | guard
+            cnt = word_row_content(n, vs[0])
+            # (prefix content, terms (t, c)): a row sums c * (u t v) over the
+            # terms, one row per prefix rep u and suffix rep v
+            rows = []
+            if level and rest in reps:
+                rows.append((rest, blocks + [
+                    (b"", determinant_bare(field, n, cnt))]))
+            for x, y, d in alphabet.windows:
+                # not x y at the very end with both rows >= 2: all dead
+                if (((rest_room - d) & guard) == guard and rest - d in reps
+                        and (vs[0] or x < n or y < n)):
+                    rows.append((rest - d, exchange_terms(field, n, x, y, cnt)))
+            for cu, terms in rows:
+                terms = [(p, s) for p, s in terms if not s.is_zero()]
+                for v in vs:
+                    insert_rows(reps[cu], [(p + v, s) for p, s in terms])
 
     if index.get(b"", -1) in rref:
         raise RelationInconsistency(
@@ -347,6 +520,7 @@ class FockContext:
         self._blocks = {}
         self._wred = {}
         self._classes = {}      # class_rep's memo for reduce_word
+        self._live = {}         # live_count's memo for build_block
         self.stats = {"blocks_built": 0, "max_block_words": 0,
                       "blocks_loaded": 0}
 
@@ -367,7 +541,7 @@ class FockContext:
                 self.stats["blocks_loaded"] += 1
                 return bb
         bb = build_block(self.field, self.n, self.h, self.eps_sign,
-                         key[0], key[1], self.budget)
+                         key[0], key[1], self.budget, self._live)
         self._blocks[key] = bb
         self.stats["blocks_built"] += 1
         if bb.total_words > self.stats["max_block_words"]:

@@ -249,21 +249,36 @@ def class_words(n, row_content, flavor_content):
     return [(r + f).to_bytes(length, "big") for r in rows for f in flavs]
 
 
-def exchange_rows(field, n, h, words, mode=None):
+def exchange_terms(field, n, x, y, cnt):
+    """The R1 row of the window x y, rows and flavors both differing, as
+    three (pair, coefficient) terms: the row is the sum of coefficient *
+    (prefix + pair + suffix) for any prefix and any suffix with row counts
+    ``cnt``.  The coefficients depend on nothing else."""
+    xi, xa = divmod(x, n)           # 0-based rows/flavors
+    yi, ya = divmod(y, n)
+    # i = right letter's row, j = left letter's row (1-based)
+    pij = (xi - yi) + (cnt[yi] - cnt[xi])
+    return ((bytes((x, y)), field.q_int(pij - 1)),
+            (bytes((y, x)), field.q_int(-pij)),
+            (bytes((yi * n + xa, xi * n + ya)),
+             field.q_power(epsilon(ya, xa) * pij)))
+
+
+def exchange_rows(field, n, h, words):
     """Yield R1/R2/R3 instances for the windows of the listed words.
 
     A window's words share every letter right of it, so a word ending in a
     row >= 2 letter yields only its last window, and nothing when the
     letter before has row >= 2 too: all that window's words are then dead.
 
-    mode="long" yields only the three-term R1 rows: block elimination
-    accounts for the two-term R2/R3 rows through commutation classes
-    (see qzm.basis) and never streams them.
+    These are the per-word instances that ``FockContext.certify`` checks.
+    Block elimination (``qzm.basis.build_block``) lists no words and does
+    not call this: it takes the two-term R2/R3 rows as its columns and
+    makes one R1 row per class of prefixes and of suffixes, with the
+    coefficients of ``exchange_terms``.
     """
-    qint = field.q_int
     qpow = field.q_power
     one = field.one
-    short = mode != "long"
     for w in words:
         N = len(w)
         if N < 2 or w[-1] < n:
@@ -281,19 +296,14 @@ def exchange_rows(field, n, h, words, mode=None):
             yi, ya = y // n, y % n
             if xi != yi:
                 if xa != ya:
-                    # i = right letter's row, j = left letter's row (1-based)
-                    pij = (xi - yi) + (cnt[yi] - cnt[xi])
-                    w2 = w[:p] + bytes((y, x)) + w[p + 2:]
-                    w3 = w[:p] + bytes((yi * n + xa, xi * n + ya)) + w[p + 2:]
                     # the three words are pairwise distinct here
-                    terms = {w: qint(pij - 1),
-                             w2: qint(-pij),
-                             w3: qpow(epsilon(ya, xa) * pij)}
+                    terms = {w[:p] + pair + w[p + 2:]: c
+                             for pair, c in exchange_terms(field, n, x, y, cnt)}
                     yield RelationInstance(TEMPLATE_EXCHANGE, terms, p)
-                elif short:
+                else:
                     w2 = w[:p] + bytes((y, x)) + w[p + 2:]
                     yield RelationInstance(TEMPLATE_COMMUTE, {w: one, w2: -one}, p)
-            elif xa != ya and short:
+            elif xa != ya:
                 w2 = w[:p] + bytes((y, x)) + w[p + 2:]
                 yield RelationInstance(
                     TEMPLATE_FLAVOR_SWAP, {w: one, w2: -qpow(epsilon(xa, ya))}, p)
@@ -309,53 +319,54 @@ def _perm_data(n):
     return data
 
 
+def determinant_blocks(field, n, eps_sign):
+    """The n-letter blocks of an R5 row, each with its coefficient: the
+    ordinary antisymmetric symbol on rows times the quantum one,
+    (-q)^{eps_sign * inversions}, on flavors."""
+    pdata = _perm_data(n)
+    out = []
+    for srow, rinv in pdata:
+        for sflav, finv in pdata:
+            e = eps_sign * finv
+            c = field.q_power(e)
+            if (e + rinv) % 2:
+                c = -c
+            out.append((bytes((srow[t] - 1) * n + (sflav[t] - 1)
+                              for t in range(n)), c))
+    return out
+
+
+def determinant_bare(field, n, cnt):
+    """The bare word's R5 coefficient, -[n]! D_q, where D_q = prod_{i<j}
+    [p_ij] is taken at the weight of a suffix with row counts ``cnt``."""
+    dq = field.one
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            # p_r = -r + cnt_r
+            dq = dq * field.q_int((j - i) + cnt[i - 1] - cnt[j - 1])
+            if dq.is_zero():
+                return field.zero
+    return -(field.q_factorial(n) * dq)
+
+
 def determinant_rows(field, n, h, eps_sign, lower_words):
     """Yield R5 instances: one per (lower word, split point).
 
-    Each row expands the n-letter determinant block inserted at the split,
-    with the ordinary antisymmetric symbol on rows and the quantum one,
-    (-q)^{eps_sign * inversions}, on flavors, minus [n]! D_q evaluated at
-    the suffix weight times the bare word.
+    Each row expands the n-letter determinant block inserted at the split
+    (``determinant_blocks``), minus [n]! D_q evaluated at the suffix weight
+    times the bare word (``determinant_bare``).
 
     A lower word ending in a row >= 2 letter yields only its last split:
     every other split keeps that ending, so its row holds dead words only.
     """
-    qint = field.q_int
-    qpow = field.q_power
-    zero = field.zero
-    pdata = _perm_data(n)
-    nfact = field.q_factorial(n)
-    # quantum flavor symbol values
-    qeps = {}
-    for s, inv in pdata:
-        e = eps_sign * inv
-        v = qpow(e)
-        qeps[s] = v if e % 2 == 0 else -v
-    sgn = {s: (1 if inv % 2 == 0 else -1) for s, inv in pdata}
+    blocks = determinant_blocks(field, n, eps_sign)
     for z in lower_words:
         L = len(z)
         for split in (L,) if z and z[-1] >= n else range(L + 1):
-            suffix = z[split:]
+            prefix, suffix = z[:split], z[split:]
             cnt = [0] * n
             for code in suffix:
                 cnt[code // n] += 1
-            # D_q = prod_{i<j} [p_ij] at the suffix weight  (p_r = -r + cnt_r)
-            dq = field.one
-            for i in range(1, n + 1):
-                for j in range(i + 1, n + 1):
-                    dq = dq * qint((j - i) + cnt[i - 1] - cnt[j - 1])
-                    if dq.is_zero():
-                        break
-                if dq.is_zero():
-                    break
-            terms = {}
-            prefix = z[:split]
-            for srow, _ in pdata:
-                for sflav, _ in pdata:
-                    block = bytes((srow[t] - 1) * n + (sflav[t] - 1) for t in range(n))
-                    wrd = prefix + block + suffix
-                    c = qeps[sflav] if sgn[srow] == 1 else -qeps[sflav]
-                    terms[wrd] = terms.get(wrd, zero) + c
-            bare = -(nfact * dq)
-            terms[z] = terms.get(z, zero) + bare
+            terms = {prefix + b + suffix: c for b, c in blocks}
+            terms[z] = determinant_bare(field, n, cnt)
             yield RelationInstance(TEMPLATE_DET, terms, split)

@@ -1,23 +1,28 @@
 """Class-coordinate elimination against word-level elimination.
 
-``build_block`` eliminates over R2/R3 commutation classes and never
-streams the two-term rows.  The oracle here eliminates every relation
+``build_block`` eliminates over R2/R3 commutation classes, lists no words
+and keys its rows by class reps.  The oracle here eliminates every relation
 instance, R2/R3 included, over every live word with the same incremental
 Gauss-Jordan, and requires every live word to reduce identically.  A
-weighted union-find over the swaps is the oracle for ``class_rep``.
+weighted union-find over the swaps is the oracle for ``class_rep``, which
+is in turn the oracle for the rep search, and brute force over the words
+is the oracle for ``live_count``.
 """
 
 import hashlib
 import json
 import os
+from itertools import product
 
 import pytest
 
 from qzm import cli
-from qzm.basis import (BlockBasis, FockContext, _compositions, _insert_row,
-                       _level_words, chain_levels, class_rep)
+from qzm.basis import (BlockBasis, FockContext, _alphabet, _compositions,
+                       _insert_row, _level_words, _live_reps,
+                       _reps_by_content, chain_levels, class_rep, class_size,
+                       live_count)
 from qzm.cache import _encode_block
-from qzm.fock import word_from_letters, word_is_dead
+from qzm.fock import class_words, word_from_letters, word_is_dead
 
 
 def commutation_classes(n, h, words):
@@ -126,7 +131,8 @@ def assert_blocks_match_word_level(ctx, keys):
             assert commutation_classes(ctx.n, ctx.h, ws)[2] == 0
 
 
-def fprime_context(monkeypatch, n, k):
+def command_contexts(monkeypatch, args):
+    """The contexts that one CLI command made."""
     made = []
 
     def context(cfg, generic):
@@ -135,9 +141,13 @@ def fprime_context(monkeypatch, n, k):
 
     real = cli._context
     monkeypatch.setattr(cli, "_context", context)
-    cli.run(["fprime", "--n", str(n), "--k", str(k), "--format", "json",
-             "--out", os.devnull])
-    [ctx] = made
+    cli.run(args + ["--format", "json", "--out", os.devnull])
+    return made
+
+
+def fprime_context(monkeypatch, n, k):
+    [ctx] = command_contexts(monkeypatch,
+                             ["fprime", "--n", str(n), "--k", str(k)])
     return ctx
 
 
@@ -146,6 +156,20 @@ def test_fprime_blocks_match_word_level(monkeypatch, n, k):
     ctx = fprime_context(monkeypatch, n, k)
     assert ctx._blocks
     assert_blocks_match_word_level(ctx, list(ctx._blocks))
+
+
+@pytest.mark.parametrize("args", [["fprime", "--n", "2", "--k", "7"],
+                                  ["check-w", "--n", "3", "--k", "2",
+                                   "--i", "2"]])
+def test_built_blocks_pass_the_certificate(monkeypatch, args):
+    """One row per (prefix rep, window, suffix rep) spans every relation
+    instance: certify reduces each per-word instance of the chain, R2/R3
+    included, to zero through the built echelon form."""
+    built = [(ctx, bb) for ctx in command_contexts(monkeypatch, args)
+             for bb in ctx._blocks.values()]
+    assert built
+    for ctx, bb in built:
+        assert ctx.certify(bb), bb.key
 
 
 def assert_every_instance_touches_a_live_ending(ctx, keys):
@@ -184,9 +208,13 @@ def test_certificate_rejects_an_altered_block(ctx22):
 
 
 def test_generic_blocks_match_word_level(gctx2):
-    keys = [(rc, fc) for t in range(1, 5) for rc in _compositions(t, 2)
-            for fc in _compositions(t, 2)]
-    assert_blocks_match_word_level(gctx2, keys)
+    assert_blocks_match_word_level(gctx2, small_keys(2, 4))
+
+
+def test_h3_blocks_match_word_level():
+    """n=2 at h = 3 up to 5 letters: blocks whose classes die by an h-th
+    power."""
+    assert_blocks_match_word_level(FockContext(2, 1), small_keys(2, 5))
 
 
 def test_class_exponents():
@@ -244,6 +272,87 @@ def test_class_rep_matches_union_find_n2(h, letters):
     keys = [(rc, fc) for t in range(1, letters + 1)
             for rc in _compositions(t, 2) for fc in _compositions(t, 2)]
     assert_class_rep_matches_union_find(2, h, keys)
+
+
+def sub_contents(key):
+    """Every content at most the key's in each row and flavor count."""
+    r, f = key
+    return [(rs, fs) for rs in product(*(range(c + 1) for c in r))
+            for fs in product(*(range(c + 1) for c in f))
+            if sum(rs) == sum(fs)]
+
+
+def has_run(w, h):
+    """True when w has h equal letters in a row."""
+    return h is not None and any(w[i:i + h] == w[i:i + 1] * h
+                                 for i in range(len(w) - h + 1))
+
+
+def assert_rep_search_matches_class_rep(n, h, keys):
+    """On every sub-content of the blocks, the search yields the distinct
+    class_rep of the content's words, less those with h equal letters in a
+    row, in lexicographic order."""
+    expected = {}
+    for key in keys:
+        alphabet = _alphabet(n, sum(key[0]))
+        reps = _reps_by_content(alphabet, h, alphabet.pack(*key))
+        subs = sub_contents(key)
+        assert set(reps) <= {alphabet.pack(*sub) for sub in subs}
+        for sub in subs:
+            if sub not in expected:
+                memo = {}
+                expected[sub] = sorted(
+                    rep for rep in {class_rep(n, w, memo)[0]
+                                    for w in class_words(n, *sub)}
+                    if not has_run(rep, h))
+            assert reps.get(alphabet.pack(*sub), []) == expected[sub], (key, sub)
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (2, 7)])
+def test_rep_search_matches_class_rep_on_fprime(monkeypatch, n, k):
+    ctx = fprime_context(monkeypatch, n, k)
+    assert_rep_search_matches_class_rep(n, ctx.h, list(ctx._blocks))
+
+
+def small_keys(n, letters):
+    return [(rc, fc) for t in range(1, letters + 1)
+            for rc in _compositions(t, n) for fc in _compositions(t, n)]
+
+
+def test_rep_search_matches_class_rep_small_and_large():
+    """Generic n=2 up to 4 letters; n=2 at h = 3 up to 6 letters, where the
+    search drops reps with h equal letters in a row; and the largest block
+    of fprime (3,2) (29 472 words, 2 275 columns) at h = 5."""
+    assert_rep_search_matches_class_rep(2, None, small_keys(2, 4))
+    assert_rep_search_matches_class_rep(2, 3, small_keys(2, 6))
+    assert_rep_search_matches_class_rep(3, 5, [((3, 3, 1), (3, 2, 2))])
+
+
+def test_live_count_matches_brute_force():
+    """Every content up to 8 letters at n=2 and 6 letters at n=3."""
+    for n, letters in ((2, 8), (3, 6)):
+        memos = {h: {} for h in (3, 4, 5, None)}
+        for t in range(letters + 1):
+            for rc in _compositions(t, n):
+                for fc in _compositions(t, n):
+                    words = class_words(n, rc, fc)
+                    for h, memo in memos.items():
+                        live = sum(not word_is_dead(n, h, w) for w in words)
+                        assert live_count(n, h, rc, fc, memo) == live, \
+                            (n, h, rc, fc)
+
+
+def test_largest_33_chain_without_words():
+    """The chain of the largest block of the (3,3) scan, at h = 6: its
+    columns and live words come from the rep search and live_count, with
+    no list of its 1 060 200 words."""
+    n, h, key = 3, 6, ((4, 4, 1), (3, 3, 3))
+    levels = chain_levels(*key)
+    alphabet = _alphabet(n, sum(key[0]))
+    reps = _reps_by_content(alphabet, h, alphabet.pack(*key))
+    assert len(_live_reps(alphabet, reps, levels)) == 37309
+    assert sum(live_count(n, h, r, f, {}) for r, f in levels) == 471300
+    assert sum(class_size(r, f) for r, f in levels) == 1060200
 
 
 # sha256 of the canonical JSON of every block record with 1 to max_letters
