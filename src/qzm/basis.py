@@ -390,10 +390,11 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget,
     rep), and of one per (prefix rep, suffix rep) for R5 on the lower
     levels.  These rows span the same space, and the reduced echelon form,
     unique for a span and a column order, is the one all instances give.
-    Rows that hold dead words only are not made: a suffix rep that ends in
-    a row >= 2 letter has such a word in its class (see ``class_rep``), a
-    rep with h equal letters in a row is dead, and so is every word of a
-    window x y with both rows >= 2 at the end.
+    Rows on dead words only are not made: those whose suffix rep ends in a
+    row >= 2 letter, so that every term word does (a class has a word
+    ending so exactly when its rep does; see ``class_rep``), those whose
+    prefix or suffix rep has h equal letters in a row, and those of a
+    window x y at the very end with both rows >= 2.
 
     Rows with the shortest suffixes go first, top level first; elimination
     is fastest so (in the opposite order it took 3.6 times as long on
