@@ -19,8 +19,9 @@ every content up to the block's, its live words are counted by a dynamic
 program, and the three-term exchange rows and the determinant rows are
 made once per (prefix representative, window or split, suffix
 representative), which spans what all their instances span (the proof is
-in ``build_block``).  Each row is mapped term by term onto columns and
-goes through incremental Gauss-Jordan over the exact scalar field.
+in ``chain_rows``).  Each row is mapped term by term onto columns and
+goes through incremental Gauss-Jordan over the exact scalar field; the
+certificate for a stored echelon form reduces the same rows through it.
 
 The word order eliminates longer words toward shorter ones (so determinant
 chains rewrite downward and the vacuum stays a basis word); within one
@@ -39,7 +40,7 @@ block bases are shared between chiralities.
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 
 from . import fock
@@ -100,16 +101,13 @@ def _level_words(n, levels):
 # incremental Gauss-Jordan over integer-indexed sparse rows
 # ---------------------------------------------------------------------------
 
-def _insert_row(row, rref, containing):
-    """Insert one relation row, maintaining a fully reduced echelon form.
-
-    ``rref`` maps a pivot column to its tail {column: Scalar}, meaning the
-    pivot equals the tail combination in the quotient; tails only hold
-    non-pivot columns.  Returns the new pivot index, or None if the row was
-    already in the span.  The row's entries are nonzero; the tails it
-    takes in add free columns only, so one ascending pass over its pivot
-    columns clears them all.
-    """
+def _reduce_row(row, rref):
+    """Reduce a row of nonzero entries in place through ``rref``, which maps
+    a pivot column to its tail {column: Scalar}, meaning the pivot equals
+    the tail combination in the quotient; tails only hold non-pivot columns.
+    The tails the row takes in add free columns only, so one ascending pass
+    over its pivot columns clears them all.  Returns the row: empty exactly
+    when it was in the span."""
     for j in sorted([j for j in row if j in rref]):
         c = row.pop(j)
         for t, s in rref[j].items():
@@ -123,6 +121,14 @@ def _insert_row(row, rref, containing):
                     del row[t]
                 else:
                     row[t] = v
+    return row
+
+
+def _insert_row(row, rref, containing):
+    """Insert one relation row, maintaining a fully reduced echelon form
+    (see ``_reduce_row``).  Returns the new pivot index, or None if the row
+    was already in the span."""
+    row = _reduce_row(row, rref)
     if not row:
         return None
     lead = min(row)
@@ -365,16 +371,12 @@ def _live_reps(alphabet, reps, levels):
                    if not w or w[-1] < n), key=word_sort_key)
 
 
-def build_block(field, n, h, eps_sign, row_content, flavor_content, budget,
-                live_memo):
-    """The quotient basis of one block chain, eliminated over class reps,
-    without listing its words.
-
-    The columns are the chain levels' live class reps, ordered by
-    ``word_sort_key``.  One depth-first search (``_reps_by_content``)
-    yields the reps of every content up to the block's own, and
-    ``live_count`` counts the live words (its ``live_memo`` is kept by the
-    context).
+def chain_rows(field, n, h, eps_sign, key):
+    """(columns, rows) of one block chain: its columns, the chain levels'
+    live class reps ordered by ``word_sort_key``, and an iterator over its
+    relation rows, each a nonempty {column: Scalar}.  One depth-first
+    search (``_reps_by_content``) yields the reps of every content up to
+    the block's own, and no word is listed.
 
     The rows are keyed by reps, not by words.  Call u0 and v0 the prefix
     and the suffix of an R1 instance's window x y (its words are u0 x y v0,
@@ -400,13 +402,7 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget,
     is fastest so (in the opposite order it took 3.6 times as long on
     ``fprime --n 3 --k 2``).
     """
-    key = (tuple(row_content), tuple(flavor_content))
     levels = chain_levels(*key)
-    total = sum(class_size(r, f) for r, f in levels)
-    if total > budget:
-        raise BudgetExceeded(key, total, budget)
-    live = sum(live_count(n, h, r, f, live_memo) for r, f in levels)
-
     alphabet = _alphabet(n, sum(key[0]))
     guard = alphabet.guard
     reps = _reps_by_content(alphabet, h, alphabet.pack(*key))
@@ -420,61 +416,78 @@ def build_block(field, n, h, eps_sign, row_content, flavor_content, budget,
         if vs:
             ends.append((c, vs))
     ends.sort(key=lambda e: len(e[1][0]))
-
-    rref = {}
-    containing = {}
-    classes = {}        # class_rep's memo, for this build only
+    classes = {}        # class_rep's memo, for these rows only
     qpow = field.q_power
 
-    def insert_rows(us, terms):
-        """Insert one row per prefix u: the terms (t, c) say c * (u t)."""
-        for u in us:
-            row = {}
-            for t, c in terms:
-                w = u + t
-                rep, e = classes.get(w) or class_rep(n, w, classes)
-                j = index.get(rep)
-                if j is None:
-                    continue
-                if e:
-                    c = c * qpow(e)
-                v = row.get(j)
-                row[j] = c if v is None else v + c
-            row = {j: c for j, c in row.items() if not c.is_zero()}
-            if row:
-                _insert_row(row, rref, containing)
-
-    if len(levels) > 1:
-        blocks = determinant_blocks(field, n, eps_sign)
-    for level, (r, f) in enumerate(levels):
-        c = alphabet.pack(r, f)
-        room = c | guard
-        for cv, vs in ends:
-            if ((room - cv) & guard) != guard:
+    def row_of(u, terms):
+        """The row of the terms (t, c), which say c * (u t), in columns."""
+        row = {}
+        for t, c in terms:
+            w = u + t
+            rep, e = classes.get(w) or class_rep(n, w, classes)
+            j = index.get(rep)
+            if j is None:
                 continue
-            rest = c - cv
-            rest_room = rest | guard
-            cnt = word_row_content(n, vs[0])
-            # (prefix content, terms (t, c)): a row sums c * (u t v) over the
-            # terms, one row per prefix rep u and suffix rep v
-            rows = []
-            if level and rest in reps:
-                rows.append((rest, blocks + [
-                    (b"", determinant_bare(field, n, cnt))]))
-            for x, y, d in alphabet.windows:
-                # not x y at the very end with both rows >= 2: all dead
-                if (((rest_room - d) & guard) == guard and rest - d in reps
-                        and (vs[0] or x < n or y < n)):
-                    rows.append((rest - d, exchange_terms(field, n, x, y, cnt)))
-            for cu, terms in rows:
-                terms = [(p, s) for p, s in terms if not s.is_zero()]
-                for v in vs:
-                    insert_rows(reps[cu], [(p + v, s) for p, s in terms])
+            if e:
+                c = c * qpow(e)
+            v = row.get(j)
+            row[j] = c if v is None else v + c
+        return {j: c for j, c in row.items() if not c.is_zero()}
 
-    if index.get(b"", -1) in rref:
+    def rows():
+        if len(levels) > 1:
+            blocks = determinant_blocks(field, n, eps_sign)
+        for level, (r, f) in enumerate(levels):
+            c = alphabet.pack(r, f)
+            room = c | guard
+            for cv, vs in ends:
+                if ((room - cv) & guard) != guard:
+                    continue
+                rest = c - cv
+                rest_room = rest | guard
+                cnt = word_row_content(n, vs[0])
+                # (prefix content, terms (t, c)): a row sums c * (u t v) over
+                # the terms, one row per prefix rep u and suffix rep v
+                groups = []
+                if level and rest in reps:
+                    groups.append((rest, blocks + [
+                        (b"", determinant_bare(field, n, cnt))]))
+                for x, y, d in alphabet.windows:
+                    # not x y at the very end with both rows >= 2: all dead
+                    if (((rest_room - d) & guard) == guard and rest - d in reps
+                            and (vs[0] or x < n or y < n)):
+                        groups.append((rest - d,
+                                       exchange_terms(field, n, x, y, cnt)))
+                for cu, terms in groups:
+                    terms = [(p, s) for p, s in terms if not s.is_zero()]
+                    for v in vs:
+                        vterms = [(p + v, s) for p, s in terms]
+                        for u in reps[cu]:
+                            row = row_of(u, vterms)
+                            if row:
+                                yield row
+
+    return columns, rows()
+
+
+def build_block(field, n, h, eps_sign, row_content, flavor_content, live_memo):
+    """The quotient basis of one block chain: every row of ``chain_rows``
+    goes through ``_insert_row``.  ``live_count`` counts the live words (its
+    ``live_memo`` is kept by the context)."""
+    key = (tuple(row_content), tuple(flavor_content))
+    levels = chain_levels(*key)
+    columns, rows = chain_rows(field, n, h, eps_sign, key)
+    rref = {}
+    containing = {}
+    for row in rows:
+        _insert_row(row, rref, containing)
+    bb = BlockBasis(key, field, columns, rref,
+                    sum(class_size(r, f) for r, f in levels),
+                    sum(live_count(n, h, r, f, live_memo) for r, f in levels))
+    if bb.index.get(b"", -1) in rref:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")
-    return BlockBasis(key, field, columns, rref, total, live)
+    return bb
 
 
 class FamilyBasis:
@@ -501,8 +514,8 @@ class FockContext:
 
     def __init__(self, n, k=None, *, generic=False, eps_sign=EPS_SIGN,
                  budget=DEFAULT_BUDGET, disk_cache=None):
-        if n < 2:
-            raise UsageError("need n >= 2")
+        if not 2 <= n <= 16:
+            raise UsageError("need 2 <= n <= 16: a letter is one byte")
         if generic:
             self.field = make_field(GENERIC)
             self.h = None
@@ -535,20 +548,22 @@ class FockContext:
         bb = self._blocks.get(key)
         if bb is not None:
             return bb
+        total = sum(class_size(r, f) for r, f in chain_levels(*key))
+        if total > self.budget:
+            raise BudgetExceeded(key, total, self.budget)
         if self.disk_cache is not None:
             bb = self.disk_cache.load_block(self, key)
-            if bb is not None:
-                self._blocks[key] = bb
-                self.stats["blocks_loaded"] += 1
-                return bb
-        bb = build_block(self.field, self.n, self.h, self.eps_sign,
-                         key[0], key[1], self.budget, self._live)
+        if bb is not None:
+            self.stats["blocks_loaded"] += 1
+        else:
+            bb = build_block(self.field, self.n, self.h, self.eps_sign,
+                             key[0], key[1], self._live)
+            self.stats["blocks_built"] += 1
+            if self.disk_cache is not None:
+                self.disk_cache.store_block(self, key, bb)
         self._blocks[key] = bb
-        self.stats["blocks_built"] += 1
-        if bb.total_words > self.stats["max_block_words"]:
-            self.stats["max_block_words"] = bb.total_words
-        if self.disk_cache is not None:
-            self.disk_cache.store_block(self, key, bb)
+        if total > self.stats["max_block_words"]:
+            self.stats["max_block_words"] = total
         return bb
 
     def family_basis(self, row_content):
@@ -577,8 +592,13 @@ class FockContext:
 
     def reduce_state(self, state):
         """Express a state in quotient basis words only; idempotent."""
-        return ChiralState(self.field, self.n, state.chirality,
-                           _reduce_terms(state.terms, self.reduce_word))
+        acc = {}
+        for w, c in state.terms.items():
+            for fw, s in self.reduce_word(w):
+                cs = c if s is None else c * s
+                v = acc.get(fw)
+                acc[fw] = cs if v is None else v + cs
+        return ChiralState(self.field, self.n, state.chirality, acc)
 
     def is_zero_state(self, state):
         return self.reduce_state(state).is_empty()
@@ -598,26 +618,13 @@ class FockContext:
 
     def certify(self, bb):
         """The exact certificate for an echelon form eliminated elsewhere
-        (a cache record): every relation instance of the block chain, R2/R3
-        included, reduces to zero through ``bb`` alone."""
-        reduce_word = partial(bb.reduce_word, memo={})
-        for inst in self.relation_instances(*bb.key):
-            acc = _reduce_terms(inst.terms, reduce_word)
-            if any(not c.is_zero() for c in acc.values()):
-                return False
-        return True
-
-
-def _reduce_terms(terms, reduce_word):
-    """Sum c * reduce_word(w) over the (word, c) terms, as {basis word:
-    Scalar}; entries that cancel are kept as zeros."""
-    acc = {}
-    for w, c in terms.items():
-        for fw, s in reduce_word(w):
-            cs = c if s is None else c * s
-            v = acc.get(fw)
-            acc[fw] = cs if v is None else v + cs
-    return acc
+        (a cache record): its columns are the chain's live class reps, so
+        R2/R3 hold, and every row of ``chain_rows`` reduces to zero through
+        ``bb.rref`` alone, so every relation instance does."""
+        columns, rows = chain_rows(self.field, self.n, self.h, self.eps_sign,
+                                   bb.key)
+        return (columns == bb.columns
+                and not any(_reduce_row(row, bb.rref) for row in rows))
 
 
 def _compositions(total, parts):

@@ -7,14 +7,14 @@ naming that key, the epsilon-convention tag and a sha256 of the block
 record beside the record; files whose header or checksum does not match
 the requesting context (a file written under other relations included)
 are ignored on load and quarantined by validation, which also checks the
-stored record with the exact certificate `FockContext.certify`: every
-relation instance of the block chain reduces to zero through it.  A
-record that cannot be read or decoded is a miss, so the block is rebuilt.
-Records are in class coordinates (see qzm.basis): the basis words and the
-echelon form over the commutation-class reps, nothing per word, since any
-word finds its class with ``class_rep``.  A load rejects a column that is
-not a live class rep of the block's chain: the certificate can miss that
-fault, since a live class read as dead may still satisfy every relation.
+stored record with the exact certificate `FockContext.certify`: its
+columns are the chain's live class reps, and every row that builds the
+block reduces to zero through it.  A record that cannot be read or
+decoded is a miss, so the block is rebuilt.  Records are in class
+coordinates (see qzm.basis): the basis words and the echelon form over the
+commutation-class reps, nothing per word, since any word finds its class
+with ``class_rep``.  A load rejects a column that is not a live class rep
+of the block's chain.
 
 Writes are atomic (temp file, then rename) and nothing is merged, so
 processes sharing a directory lose no blocks: writers of different blocks
@@ -177,8 +177,7 @@ class DiskCache:
 
     def validate(self, data):
         """True when a block record matches this version and the pinned
-        convention, and every relation instance of its block chain reduces
-        to zero through the stored data.
+        convention, and passes ``FockContext.certify``.
 
         Malformed data reads as invalid; any other error propagates.
         """

@@ -511,6 +511,9 @@ def _check_ranges(parser, cfg):
     for name, low in least.items():
         if getattr(cfg, name) < low:
             parser.error(f"--{name} must be at least {low}")
+    # words are byte strings, one byte per letter, n * n letters
+    if cfg.command in ("verify-algebra", "fprime", "check-w") and cfg.n > 16:
+        parser.error("--n must be at most 16 for this command")
     # a --generic-q check-w is recorded as skipped, whatever its --i
     if cfg.command == "check-w" and not cfg.generic_q \
             and not 2 <= cfg.i < cfg.n:

@@ -271,11 +271,11 @@ def exchange_rows(field, n, h, words):
     row >= 2 letter yields only its last window, and nothing when the
     letter before has row >= 2 too: all that window's words are then dead.
 
-    These are the per-word instances that ``FockContext.certify`` checks.
-    Block elimination (``qzm.basis.build_block``) lists no words and does
-    not call this: it takes the two-term R2/R3 rows as its columns and
-    makes one R1 row per class of prefixes and of suffixes, with the
-    coefficients of ``exchange_terms``.
+    These per-word instances serve the verify-algebra sweeps and the test
+    oracles.  Block elimination and its certificate
+    (``qzm.basis.chain_rows``) list no words and do not call this: they take
+    the two-term R2/R3 rows as columns and make one R1 row per class of
+    prefixes and of suffixes, with the coefficients of ``exchange_terms``.
     """
     qpow = field.q_power
     one = field.one

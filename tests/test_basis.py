@@ -158,18 +158,35 @@ def test_fprime_blocks_match_word_level(monkeypatch, n, k):
     assert_blocks_match_word_level(ctx, list(ctx._blocks))
 
 
+def per_word_certificate(ctx, bb):
+    """Every per-word relation instance of the block chain, R2/R3 included,
+    reduces to zero through ``bb`` alone."""
+    memo = {}
+    for inst in ctx.relation_instances(*bb.key):
+        acc = {}
+        for w, c in inst.terms.items():
+            for fw, s in bb.reduce_word(w, memo):
+                cs = c if s is None else c * s
+                acc[fw] = acc[fw] + cs if fw in acc else cs
+        if any(not c.is_zero() for c in acc.values()):
+            return False
+    return True
+
+
 @pytest.mark.parametrize("args", [["fprime", "--n", "2", "--k", "7"],
                                   ["check-w", "--n", "3", "--k", "2",
                                    "--i", "2"]])
 def test_built_blocks_pass_the_certificate(monkeypatch, args):
     """One row per (prefix rep, window, suffix rep) spans every relation
-    instance: certify reduces each per-word instance of the chain, R2/R3
-    included, to zero through the built echelon form."""
+    instance: each built echelon form passes certify, which reduces those
+    rows, and reduces each per-word instance of the chain, R2/R3 included,
+    to zero."""
     built = [(ctx, bb) for ctx in command_contexts(monkeypatch, args)
              for bb in ctx._blocks.values()]
     assert built
     for ctx, bb in built:
         assert ctx.certify(bb), bb.key
+        assert per_word_certificate(ctx, bb), bb.key
 
 
 def assert_every_instance_touches_a_live_ending(ctx, keys):
@@ -205,6 +222,25 @@ def test_certificate_rejects_an_altered_block(ctx22):
     assert not ctx22.certify(BlockBasis(bb.key, bb.field, bb.columns,
                                         {**bb.rref, lead: tail},
                                         bb.total_words, bb.live_words))
+
+
+def test_certificate_rejects_a_dropped_column(ctx22):
+    """A block that reads a live class as dead, its free column dropped and
+    the tails without it, still reduces every per-word instance to zero;
+    certify rejects it, since its columns are not the chain's live reps."""
+    bb = ctx22.block_basis((2, 1), (1, 2))
+    free = next(j for j in range(len(bb.columns)) if j not in bb.rref)
+
+    def shift(j):
+        return j - (j > free)
+
+    rref = {shift(lead): {shift(t): s for t, s in tail.items() if t != free}
+            for lead, tail in bb.rref.items()}
+    dropped = BlockBasis(bb.key, bb.field,
+                         bb.columns[:free] + bb.columns[free + 1:], rref,
+                         bb.total_words, bb.live_words)
+    assert per_word_certificate(ctx22, dropped)
+    assert not ctx22.certify(dropped)
 
 
 def test_generic_blocks_match_word_level(gctx2):

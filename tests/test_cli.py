@@ -167,6 +167,50 @@ def test_cache_validate_checks_every_block(tmp_path):
     assert all(r["result"] == "pass" for f, r in recs.items() if f != name)
 
 
+def _fprime_n3k1(tmp_path, name, *extra):
+    return run_cmd(["fprime", "--n", "3", "--k", "1", *extra], tmp_path,
+                   name=name)[1]
+
+
+def test_warm_cache_gives_the_cold_report(tmp_path):
+    """Loaded blocks count in sizes, as built ones do."""
+    cache_dir = str(tmp_path / "cache")
+    cold = _fprime_n3k1(tmp_path, "cold", "--cache-dir", cache_dir)
+    warm = _fprime_n3k1(tmp_path, "warm", "--cache-dir", cache_dir)
+    assert strip_timing(warm) == strip_timing(cold)
+    assert strip_timing(cold) == strip_timing(_fprime_n3k1(tmp_path, "none"))
+
+
+def test_budget_applies_to_cached_blocks(tmp_path):
+    cache_dir = str(tmp_path / "cache")
+    _fprime_n3k1(tmp_path, "fill", "--cache-dir", cache_dir)
+    cold = _fprime_n3k1(tmp_path, "cold", "--budget", "50")
+    warm = _fprime_n3k1(tmp_path, "warm", "--budget", "50",
+                        "--cache-dir", cache_dir)
+    assert "budget" in [c["result"] for c in cold["checks"]]
+    assert strip_timing(warm) == strip_timing(cold)
+
+
+def test_cache_validate_lists_no_words(tmp_path, monkeypatch):
+    """The certificate reduces the rows that build a block, not the
+    per-word relation instances."""
+    cache_dir = str(tmp_path / "cache")
+    run_cmd(["fprime", "--n", "2", "--k", "7", "--cache-dir", cache_dir],
+            tmp_path, name="fill")
+
+    def per_word(*args, **kwargs):
+        raise AssertionError("per-word relation path")
+
+    for name in ("exchange_rows", "determinant_rows", "class_words"):
+        monkeypatch.setattr(qzm.basis, name, per_word)
+    monkeypatch.setattr(FockContext, "relation_instances", per_word)
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    assert code == 0
+    assert report["checks"]
+    assert all(c["result"] == "pass" for c in report["checks"])
+
+
 def _only_block_file(cache_dir):
     [name] = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
     return os.path.join(cache_dir, name)
@@ -243,16 +287,16 @@ def test_cache_validate_certifies_a_checksummed_record(tmp_path):
 
 def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
     """A checksummed record whose basis word a11 a12 is replaced by a12 a11,
-    another word of its class, reads every word of that class as dead, and
-    the certificate accepts that.  The load rejects such a column, and one
-    of another content, so the block is rebuilt and validation quarantines
-    the file."""
+    another word of its class, reads every word of that class as dead.  The
+    certificate rejects it, and the load rejects such a column, and one of
+    another content, so the block is rebuilt and validation quarantines the
+    file."""
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb = ctx.block_basis((2, 0), (1, 1))
     assert bb.basis_words == [bytes((0, 1))]
-    assert ctx.certify(BlockBasis(bb.key, bb.field, [bytes((1, 0))], bb.rref,
-                                  bb.total_words, bb.live_words))
+    assert not ctx.certify(BlockBasis(bb.key, bb.field, [bytes((1, 0))],
+                                      bb.rref, bb.total_words, bb.live_words))
     path = _only_block_file(cache_dir)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -422,7 +466,11 @@ def test_cache_purge(tmp_path):
     ["check-w", "--n", "3", "--k", "1", "--i", "5"],
     ["verify-field", "--n", "2", "--k", "3", "--samples", "0"],
     ["verify-algebra", "--n", "2", "--k", "1", "--samples", "-3"],
-], ids=["n1", "k0", "check_w_n2", "check_w_i5", "samples0", "samples_neg"])
+    ["fprime", "--n", "17", "--k", "1"],
+    ["check-w", "--n", "17", "--k", "1", "--i", "2"],
+    ["verify-algebra", "--n", "17", "--k", "1"],
+], ids=["n1", "k0", "check_w_n2", "check_w_i5", "samples0", "samples_neg",
+        "fprime_n17", "check_w_n17", "verify_algebra_n17"])
 def test_out_of_range_input_is_a_usage_error(argv, tmp_path, capsys):
     """Exit status 2 with a usage message; 1 is kept for a failed
     documented claim."""

@@ -327,6 +327,13 @@ def test_budget_enforced(eps_sign):
     assert class_size((2, 2, 1), (2, 2, 1)) > 10
 
 
+def test_more_than_16_flavors_is_a_usage_error():
+    """A letter is one byte, so n * n letters need n <= 16."""
+    FockContext(16, 1)
+    with pytest.raises(UsageError):
+        FockContext(17, 1)
+
+
 def test_reordering_soundness(ctx22):
     """Words linked by one exchange template reduce consistently: the
     template row itself reduces to zero at every position."""
