@@ -606,8 +606,9 @@ class FockContext:
     # -- relation instances ----------------------------------------------
 
     def relation_instances(self, row_content, flavor_content):
-        """The R1/R2/R3 and R5 instances of the block chain, as an iterator;
-        none holds dead words only (see qzm.fock)."""
+        """The R1/R2/R3 and R5 instances of the block chain, word by word,
+        as an iterator; none holds dead words only (see qzm.fock).  Blocks
+        and their certificate use ``chain_rows`` instead."""
         field, n, h = self.field, self.n, self.h
         levels = chain_levels(row_content, flavor_content)
         level_words = _level_words(n, levels)
