@@ -3,25 +3,17 @@
 Words grade by (row content, flavor content): every relation template
 preserves both except the determinant, which links a class to the one with
 one letter of each row and flavor removed.  A *block* is such a class
-together with its determinant-linked descendants; blocks are eliminated
-independently, which is what keeps desk-scale runs cheap.
+together with its determinant-linked descendants, its chain.
 
 The columns of a block are commutation classes, not words.  R2 (rows
 differ, same flavor) and R3 (same row, flavors differ) make the words of
 one content a partially commutative (trace) monoid: every word is a unit
 q^E times its class's representative, and ``class_rep`` computes both in
-closed form, so each live class is one column, the two-term rows are never
-streamed and a block keeps no per-word map.  A class dies with any of its
-words that the vacuum-annihilation or h-th power rows kill outright (an
-O(1) predicate, in place of one-term pivot rows).  A block never lists its
-words either: one depth-first search yields the class representatives of
-every content up to the block's, its live words are counted by a dynamic
-program, and the three-term exchange rows and the determinant rows are
-made once per (prefix representative, window or split, suffix
-representative), which spans what all their instances span (the proof is
-in ``chain_rows``).  Each row is mapped term by term onto columns and
-goes through incremental Gauss-Jordan over the exact scalar field; the
-certificate for a stored echelon form reduces the same rows through it.
+closed form, so each live class is one column and a block keeps no
+per-word map.  A class dies with any of its words that ``word_is_dead``
+kills (R4, R6).  A block is built from its one-letter sub-blocks, with no
+word listed (``build_block``); the certificate for a record built
+elsewhere reduces the rows of ``chain_rows`` through it.
 
 The word order eliminates longer words toward shorter ones (so determinant
 chains rewrite downward and the vacuum stays a basis word); within one
@@ -31,7 +23,7 @@ that word-level elimination would leave free, so quotient bases and every
 word's reduction are the same as eliminating all relation instances over
 all words.  The reduced row echelon form is uniquely determined by the
 relation span and the column order, so results are reproducible bit for
-bit no matter how rows are streamed in.
+bit however they are computed.
 
 Barred classes satisfy identical templates in (row, flavor) terms, so
 block bases are shared between chiralities.
@@ -41,6 +33,7 @@ from __future__ import annotations
 
 import weakref
 from functools import lru_cache
+from itertools import takewhile
 from math import factorial
 
 from . import fock
@@ -49,6 +42,7 @@ from .fock import (EPS_SIGN, ChiralState, class_words, determinant_blocks,
                    exchange_terms, word_flavor_content, word_is_dead,
                    word_row_content, word_sort_key)
 from .scalars import GENERIC, ROOT, UsageError, make_field
+from .weights import epsilon
 
 DEFAULT_BUDGET = 100000
 
@@ -372,11 +366,11 @@ def _live_reps(alphabet, reps, levels):
 
 
 def chain_rows(field, n, h, eps_sign, key):
-    """(columns, rows) of one block chain: its columns, the chain levels'
-    live class reps ordered by ``word_sort_key``, and an iterator over its
-    relation rows, each a nonempty {column: Scalar}.  One depth-first
-    search (``_reps_by_content``) yields the reps of every content up to
-    the block's own, and no word is listed.
+    """(columns, rows) of one block chain, for its certificate: the chain
+    levels' live class reps ordered by ``word_sort_key``, and an iterator
+    over rows that span its relation instances, each a nonempty {column:
+    Scalar}.  One depth-first search (``_reps_by_content``) yields the reps
+    of every content up to the block's own, and no word is listed.
 
     The rows are keyed by reps, not by words.  Call u0 and v0 the prefix
     and the suffix of an R1 instance's window x y (its words are u0 x y v0,
@@ -470,21 +464,130 @@ def chain_rows(field, n, h, eps_sign, key):
     return columns, rows()
 
 
-def build_block(field, n, h, eps_sign, row_content, flavor_content, live_memo):
-    """The quotient basis of one block chain: every row of ``chain_rows``
-    goes through ``_insert_row``.  ``live_count`` counts the live words (its
-    ``live_memo`` is kept by the context)."""
+def build_block(ctx, row_content, flavor_content):
+    """The quotient basis of one block chain, from its one-letter
+    sub-blocks, got through ``ctx.block_basis`` (so the caches, the budget
+    and ``ctx.stats`` apply to them).
+
+    Why this holds, with c the top content, delta one letter of each row
+    and flavor, and chain(c) the words of the levels c - k delta: (i) the
+    words of chain(c) are the direct sum over the letters a of a times the
+    words of chain(c - a), plus the vacuum when the chain reaches the empty
+    content; (ii) every instance u r v with u nonempty is a letter times an
+    instance of chain(c - a), and a dead word is a letter times a dead
+    word, or a^h v (R4), or one letter of row >= 2 (R6); (iii) the
+    relations are closed under left multiplication, and R1 and R5 see
+    their suffix v only through the differences of its row counts, which
+    every relation keeps, so the image of r v depends only on v modulo the
+    relations of its chain.  So the quotient is A_c, the direct sum over a
+    of a (x) (basis of chain(c - a)) plus the vacuum, modulo these rows,
+    with beta running over the basis words of the chain named:
+
+      R1/R2/R3  x y beta, x != y, in chain(c - x - y): ``exchange_terms``,
+                x y - y x, or x y - q^eps(x, y) y x
+      R4        a^h beta, in chain(c - h a) (root mode)
+      R5        the ``determinant_blocks`` b beta plus ``determinant_bare``
+                times beta, in chain(levels[1])
+      R6        the letter x of row >= 2, when chain(c - x) holds the vacuum
+
+    A term x w maps to x (x) ``block(c - x).reduce_word(w)``.  The columns,
+    the live class reps, are the words a w, w a column of chain(c - a),
+    such that every letter of the longest prefix of w that commutes with a
+    is larger than a (see ``class_rep``); a w maps to a (x) w's tail.  From
+    the last column to the first, a column is free when its image is
+    independent, modulo the rows, of the later free columns' images, and
+    its tail is otherwise the unique combination of those: the reduced
+    echelon form that all relation instances give in this column order.
+    One elimination, with a coordinate per column beside A_c's, finds both.
+    """
     key = (tuple(row_content), tuple(flavor_content))
+    field, n, h, one = ctx.field, ctx.n, ctx.h, ctx.field.one
     levels = chain_levels(*key)
-    columns, rows = chain_rows(field, n, h, eps_sign, key)
-    rref = {}
-    containing = {}
-    for row in rows:
-        _insert_row(row, rref, containing)
-    bb = BlockBasis(key, field, columns, rref,
+
+    def block(w):
+        """The block of the top content less the letters of w, or None."""
+        r, f = list(key[0]), list(key[1])
+        for b in w:
+            r[b // n] -= 1
+            f[b % n] -= 1
+        return ctx.block_basis(r, f) if min(r + f) >= 0 else None
+
+    subs = {a: sb for a in range(n * n)
+            if (sb := block(bytes((a,)))) is not None}
+    coords = {}         # letter a -> {basis word of subs[a]: coordinate}
+    size = 1            # coordinate 0 is the vacuum
+    for a, sb in subs.items():
+        coords[a] = {w: size + i for i, w in enumerate(sb.basis_words)}
+        size += sb.dim
+    # class_rep's memo for this build, knowing every column of subs is a rep
+    memo = {w: (w, 0) for sb in subs.values() for w in sb.columns}
+
+    def image(terms):
+        """The sum of c * w over the terms (w, c), in A_c's coordinates."""
+        row = {}
+        for w, c in terms:
+            for j, s in ([(coords[w[0]][bw], s) for bw, s in
+                          subs[w[0]].reduce_word(w[1:], memo)]
+                         if w else [(0, None)]):
+                cs = c if s is None else c * s
+                row[j] = row[j] + cs if j in row else cs
+        return {j: c for j, c in row.items() if not c.is_zero()}
+
+    rows = []           # each a list of terms (w, c)
+    for x in subs:
+        xi, xa = divmod(x, n)
+        for y in subs:
+            yi, ya = divmod(y, n)
+            # R2 and R3; eps is 0 for R2
+            swap = ((bytes((x, y)), one),
+                    (bytes((y, x)), -field.q_power(epsilon(xa, ya))))
+            sub = block(bytes((x, y))) if x != y else None
+            for beta in sub.basis_words if sub else ():
+                pairs = swap if xi == yi or xa == ya else exchange_terms(
+                    field, n, x, y, word_row_content(n, beta))
+                rows.append([(p + beta, c) for p, c in pairs])
+        if h:
+            power = bytes((x,)) * h
+            sub = block(power)
+            rows += [[(power + beta, one)]
+                     for beta in (sub.basis_words if sub else ())]
+        if x >= n and b"" in subs[x].index:
+            rows.append([(bytes((x,)), one)])
+    if len(levels) > 1:
+        blocks = determinant_blocks(field, n, ctx.eps_sign)
+        for beta in ctx.block_basis(*levels[1]).basis_words:
+            bare = determinant_bare(field, n, word_row_content(n, beta))
+            rows.append([(b + beta, c) for b, c in blocks] + [(beta, bare)])
+    rref, containing = {}, {}
+    for terms in rows:
+        row = image(terms)
+        if row:
+            _insert_row(row, rref, containing)
+
+    columns = [] if sum(levels[-1][0]) else [b""]
+    for a, sb in subs.items():
+        ai, af = divmod(a, n)
+        run = bytes((a,)) * (h - 1) if h else None
+        columns += [bytes((a,)) + w for w in sb.columns
+                    if (w or a < n) and not (run and w.startswith(run))
+                    and all(d > a for d in takewhile(
+                        lambda d: (d // n == ai) != (d % n == af), w))]
+    columns.sort(key=word_sort_key)
+    tails = {}
+    minus_one = -one
+    for j in range(len(columns) - 1, -1, -1):
+        row = image([(columns[j], one)])
+        row[size + j] = minus_one
+        _reduce_row(row, rref)
+        if min(row) < size:
+            _insert_row(row, rref, containing)
+        else:
+            del row[size + j]
+            tails[j] = {t - size: s for t, s in row.items()}
+    bb = BlockBasis(key, field, columns, tails,
                     sum(class_size(r, f) for r, f in levels),
-                    sum(live_count(n, h, r, f, live_memo) for r, f in levels))
-    if bb.index.get(b"", -1) in rref:
+                    sum(live_count(n, h, r, f, ctx._live) for r, f in levels))
+    if bb.index.get(b"", -1) in tails:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")
     return bb
@@ -556,8 +659,7 @@ class FockContext:
         if bb is not None:
             self.stats["blocks_loaded"] += 1
         else:
-            bb = build_block(self.field, self.n, self.h, self.eps_sign,
-                             key[0], key[1], self._live)
+            bb = build_block(self, key[0], key[1])
             self.stats["blocks_built"] += 1
             if self.disk_cache is not None:
                 self.disk_cache.store_block(self, key, bb)
@@ -607,8 +709,9 @@ class FockContext:
 
     def relation_instances(self, row_content, flavor_content):
         """The R1/R2/R3 and R5 instances of the block chain, word by word,
-        as an iterator; none holds dead words only (see qzm.fock).  Blocks
-        and their certificate use ``chain_rows`` instead."""
+        as an iterator; none holds dead words only (see qzm.fock).  Builds
+        work from sub-blocks (``build_block``) and the certificate from
+        ``chain_rows`` instead."""
         field, n, h = self.field, self.n, self.h
         levels = chain_levels(row_content, flavor_content)
         level_words = _level_words(n, levels)
@@ -618,7 +721,7 @@ class FockContext:
             yield from determinant_rows(field, n, h, self.eps_sign, ws)
 
     def certify(self, bb):
-        """The exact certificate for an echelon form eliminated elsewhere
+        """The exact certificate for an echelon form computed elsewhere
         (a cache record): its columns are the chain's live class reps, so
         R2/R3 hold, and every row of ``chain_rows`` reduces to zero through
         ``bb.rref`` alone, so every relation instance does."""

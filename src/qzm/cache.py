@@ -4,17 +4,18 @@ One JSON file per (row content, flavor content) block, named by a stable
 hash of the block's full key (n, field, chirality, row content, flavor
 content, relation-set fingerprint).  Every file carries a versioned header
 naming that key, the epsilon-convention tag and a sha256 of the block
-record beside the record; files whose header or checksum does not match
-the requesting context (a file written under other relations included)
-are ignored on load and quarantined by validation, which also checks the
-stored record with the exact certificate `FockContext.certify`: its
-columns are the chain's live class reps, and every row that builds the
-block reduces to zero through it.  A record that cannot be read or
-decoded is a miss, so the block is rebuilt.  Records are in class
-coordinates (see qzm.basis): the basis words and the echelon form over the
-commutation-class reps, nothing per word, since any word finds its class
-with ``class_rep``.  A load rejects a column that is not a live class rep
-of the block's chain.
+record's canonical JSON beside the record.  Builds store the sub-blocks
+they build too (see qzm.basis), and trust the ones they load, as
+reductions do.  A file that cannot be read or decoded, or whose header or
+checksum does not match the requesting context (a file written under other
+relations included), is a miss, so the block is rebuilt.  A load also
+rejects a column that is not a live class rep of the block's chain.
+Validation quarantines a record unless it also passes the exact
+certificate `FockContext.certify` and equals a fresh build from no file:
+the certificate alone passes a record with an extra pivot.  Records are in
+class coordinates (see qzm.basis): the basis words and the echelon form
+over the commutation-class reps, nothing per word, since any word finds
+its class with ``class_rep``.
 
 Writes are atomic (temp file, then rename) and nothing is merged, so
 processes sharing a directory lose no blocks: writers of different blocks
@@ -72,10 +73,14 @@ def _decode_word(n, enc):
     return word_from_letters(n, [(r, f) for r, f in enc])
 
 
+def _canonical(record):
+    """A block record's canonical JSON encoding, which its sha256 covers."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(record):
     """sha256 of a block record's canonical JSON encoding."""
-    blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(_canonical(record).encode()).hexdigest()
 
 
 def _encode_block(ctx, bb):
@@ -156,17 +161,19 @@ class DiskCache:
 
     def store_block(self, ctx, block_key, bb):
         key = _canon_key(ctx.n, ctx.field.tag(), block_key)
-        record = _encode_block(ctx, bb)
-        data = dict(key, eps=eps_tag(ctx.eps_sign), block=record,
-                    sha256=_digest(record))
-        self._atomic_write(self._path(key), data)
+        blob = _canonical(_encode_block(ctx, bb))
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        header = json.dumps(dict(key, eps=eps_tag(ctx.eps_sign), sha256=digest),
+                            sort_keys=True)
+        # serialised once: "block" sorts before every header key
+        self._atomic_write(self._path(key),
+                           '{"block": ' + blob + ", " + header[1:])
 
-    def _atomic_write(self, path, data):
+    def _atomic_write(self, path, text):
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                # one dumps call uses the C encoder; json.dump would not
-                fh.write(json.dumps(data, sort_keys=True))
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -175,23 +182,31 @@ class DiskCache:
 
     # -- maintenance ---------------------------------------------------------
 
-    def validate(self, data):
+    def validate(self, data, contexts, budget):
         """True when a block record matches this version and the pinned
-        convention, and passes ``FockContext.certify``.
-
-        Malformed data reads as invalid; any other error propagates.
+        convention, and equals a fresh build that ``FockContext.certify``
+        passes.  ``contexts`` maps (n, field) to the disk-less context, with
+        this ``budget``, that one validation run keeps for it, so each block
+        is built once per run.  Malformed data reads as invalid; any other
+        error propagates.
         """
         try:
             n, field = data["n"], data["field"]
-            ctx = (FockContext(n, generic=True) if field == "generic"
-                   else FockContext(n, int(field.split(":")[1]) - n))
+            ctx = contexts.get((n, field))
+            if ctx is None:
+                ctx = contexts[n, field] = (
+                    FockContext(n, generic=True, budget=budget)
+                    if field == "generic" else
+                    FockContext(n, int(field.split(":")[1]) - n, budget=budget))
             block_key = (tuple(data["row_content"]),
                          tuple(data["flavor_content"]))
             if not _header_ok(ctx, _canon_key(n, ctx.field.tag(), block_key),
                               data):
                 return False
-            bb = _decode_block(ctx, block_key, data["block"])
-            return ctx.certify(bb)
+            # the header check hashed the record: equal digests, equal records
+            fresh = ctx.block_basis(*block_key)
+            return (data["sha256"] == _digest(_encode_block(ctx, fresh))
+                    and ctx.certify(fresh))
         except (KeyError, IndexError, TypeError, ValueError, ArithmeticError):
             return False
 

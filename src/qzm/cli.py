@@ -436,18 +436,20 @@ def cmd_cache(cfg, ck):
         ck.run("cache_purge", {}, DERIVED,
                lambda: (True, {"params": {"removed": cache.purge()}}))
         return
-    validate = cfg.cache_action == "validate"
+    contexts = {} if cfg.cache_action == "validate" else None
     for name, data in cache.records():
         ck.run("cache_record", {"file": name}, DERIVED,
-               lambda: _cache_record(cache, name, data, validate))
+               lambda: _cache_record(cache, name, data, contexts, cfg.budget))
 
 
-def _cache_record(cache, name, data, validate):
-    """List one block file, or validate it and quarantine it if bad."""
+def _cache_record(cache, name, data, contexts, budget):
+    """List one block file, or, given the run's validation ``contexts``,
+    validate it and quarantine it if bad."""
+    validate = contexts is not None
     if data is None:
         ok, extras = False, {"detail": "unreadable"}
     else:
-        ok = not validate or cache.validate(data)
+        ok = not validate or cache.validate(data, contexts, budget)
         extras = {"params": {
             "n": data.get("n"), "field": data.get("field"),
             "row_content": data.get("row_content"),

@@ -27,9 +27,11 @@ instance acts on:
 
 R4 and R6 kill single words; they are never streamed as rows but decided
 by the O(1) predicate `word_is_dead`, which the reduction machinery uses
-directly.  Likewise no generator yields a row whose words all end in a
-letter of row >= 2: such a row holds dead words only, so it can neither
-change an echelon form nor fail a check.
+directly (a block build makes rows only for the dead words its one-letter
+sub-blocks cannot see: a^h v and a lone letter of row >= 2).  Likewise no
+generator yields a row whose words all end in a letter of row >= 2: such a
+row holds dead words only, so it can neither change an echelon form nor
+fail a check.
 """
 
 from __future__ import annotations
@@ -272,10 +274,8 @@ def exchange_rows(field, n, h, words):
     letter before has row >= 2 too: all that window's words are then dead.
 
     These per-word instances serve the verify-algebra sweeps and the test
-    oracles.  Block elimination and its certificate
-    (``qzm.basis.chain_rows``) list no words and do not call this: they take
-    the two-term R2/R3 rows as columns and make one R1 row per class of
-    prefixes and of suffixes, with the coefficients of ``exchange_terms``.
+    oracles.  Block builds (``qzm.basis.build_block``) and their certificate
+    (``qzm.basis.chain_rows``) list no words and do not call this.
     """
     qpow = field.q_power
     one = field.one

@@ -1,12 +1,14 @@
-"""Class-coordinate elimination against word-level elimination.
+"""Block builds against row elimination and word-level elimination.
 
-``build_block`` eliminates over R2/R3 commutation classes, lists no words
-and keys its rows by class reps.  The oracle here eliminates every relation
-instance, R2/R3 included, over every live word with the same incremental
-Gauss-Jordan, and requires every live word to reduce identically.  A
-weighted union-find over the swaps is the oracle for ``class_rep``, which
-is in turn the oracle for the rep search, and brute force over the words
-is the oracle for ``live_count``.
+``build_block`` works over R2/R3 commutation classes from a block's
+one-letter sub-blocks and lists no words.  Two oracles check it: one
+eliminates every row of ``chain_rows`` (one per prefix rep, window or
+split, and suffix rep) over every live class and must give the same cache
+record; the other eliminates every relation instance, R2/R3 included, over
+every live word with the same incremental Gauss-Jordan, and every live
+word must reduce identically.  A weighted union-find over the swaps is the
+oracle for ``class_rep``, which is in turn the oracle for the rep search,
+and brute force over the words is the oracle for ``live_count``.
 """
 
 import hashlib
@@ -16,11 +18,11 @@ from itertools import product
 
 import pytest
 
-from qzm import cli
+from qzm import basis, cli
 from qzm.basis import (BlockBasis, FockContext, _alphabet, _compositions,
                        _insert_row, _level_words, _live_reps,
-                       _reps_by_content, chain_levels, class_rep, class_size,
-                       live_count)
+                       _reps_by_content, chain_levels, chain_rows, class_rep,
+                       class_size, live_count)
 from qzm.cache import _encode_block
 from qzm.fock import class_words, word_from_letters, word_is_dead
 
@@ -156,6 +158,60 @@ def test_fprime_blocks_match_word_level(monkeypatch, n, k):
     ctx = fprime_context(monkeypatch, n, k)
     assert ctx._blocks
     assert_blocks_match_word_level(ctx, list(ctx._blocks))
+
+
+def eliminate_chain_rows(ctx, key):
+    """The block as eliminating every row of ``chain_rows`` gives it, over
+    every live class of the chain and without sub-blocks."""
+    levels = chain_levels(*key)
+    columns, rows = chain_rows(ctx.field, ctx.n, ctx.h, ctx.eps_sign, key)
+    rref = {}
+    containing = {}
+    for row in rows:
+        _insert_row(row, rref, containing)
+    return BlockBasis(key, ctx.field, columns, rref,
+                      sum(class_size(r, f) for r, f in levels),
+                      sum(live_count(ctx.n, ctx.h, r, f, {}) for r, f in levels))
+
+
+def assert_blocks_match_row_elimination(ctx, keys):
+    for key in keys:
+        assert _encode_block(ctx, ctx.block_basis(*key)) == \
+            _encode_block(ctx, eliminate_chain_rows(ctx, key)), key
+
+
+@pytest.mark.parametrize("n,k,letters", [(2, 1, 7), (2, 2, 7), (3, 1, 5),
+                                         (3, 2, 5), (4, 1, 4), (2, None, 6),
+                                         (3, None, 4)])
+def test_blocks_match_row_elimination(n, k, letters):
+    """Every block up to the given number of letters, built in a fresh
+    context from its sub-blocks, has the record that eliminating the rows
+    of its whole chain gives: at roots of unity, where R4 kills classes,
+    and in the generic field."""
+    ctx = FockContext(n, generic=True) if k is None else FockContext(n, k)
+    assert_blocks_match_row_elimination(ctx, small_keys(n, letters))
+
+
+def test_largest_32_block_matches_row_elimination():
+    """The largest block of fprime (3,2): 29 472 words, 2 275 columns."""
+    assert_blocks_match_row_elimination(FockContext(3, 2),
+                                        [((3, 3, 1), (3, 2, 2))])
+
+
+def test_builds_use_no_chain_rows(monkeypatch):
+    """Builds work from sub-blocks: every block of fprime (3,1) builds in
+    a fresh context with the certificate's row search patched to raise."""
+    keys = list(fprime_context(monkeypatch, 3, 1)._blocks)
+
+    def certificate_path(*args):
+        raise AssertionError("a build reached the certificate's rows")
+
+    monkeypatch.setattr(basis, "chain_rows", certificate_path)
+    monkeypatch.setattr(basis, "_reps_by_content", certificate_path)
+    ctx = FockContext(3, 1)
+    for key in keys:
+        ctx.block_basis(*key)
+    assert ctx.stats["blocks_built"] >= len(keys)
 
 
 def per_word_certificate(ctx, bb):

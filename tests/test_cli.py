@@ -1,15 +1,17 @@
+import hashlib
 import importlib.util
 import json
 import multiprocessing
 import os
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import qzm.cache
 from qzm import cli
 from qzm.basis import BlockBasis, FockContext
-from qzm.cache import DiskCache, _decode_block, _digest
+from qzm.cache import DiskCache, _canon_key, _decode_block, _digest
 from qzm.qalgebra import resolve_eps_sign
 from qzm.reports import strip_timing
 
@@ -105,7 +107,8 @@ def test_cache_roundtrip_and_validate(tmp_path):
     assert bb2.basis_words == bb.basis_words
     assert bb2.rref.keys() == bb.rref.keys()
     files = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
-    assert len(files) == ctx.stats["blocks_built"] == 1
+    # the block and its 9 sub-blocks, the empty content's included
+    assert len(files) == ctx.stats["blocks_built"] == 10
 
     code, report = run_cmd(["cache", "list", "--cache-dir", cache_dir],
                            tmp_path, name="list")
@@ -123,8 +126,7 @@ def test_cache_quarantines_wrong_convention(tmp_path):
                       disk_cache=DiskCache(cache_dir))
     ctx.block_basis((1, 1), (1, 1))
     # corrupt the convention tag
-    files = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
-    path = os.path.join(cache_dir, files[0])
+    path = _block_file(cache_dir, ctx, ((1, 1), (1, 1)))
     data = json.loads(open(path, encoding="utf-8").read())
     data["eps"] = "qeps+9"
     with open(path, "w", encoding="utf-8") as fh:
@@ -139,7 +141,8 @@ def test_cache_quarantines_wrong_convention(tmp_path):
     ctx2 = FockContext(2, 1, eps_sign=resolve_eps_sign(),
                        disk_cache=DiskCache(cache_dir))
     ctx2.block_basis((1, 1), (1, 1))
-    assert ctx2.stats["blocks_loaded"] == 0
+    # its 4 one-letter sub-blocks and the empty one load
+    assert ctx2.stats["blocks_loaded"] == 5
     assert ctx2.stats["blocks_built"] == 1
 
 
@@ -211,9 +214,17 @@ def test_cache_validate_lists_no_words(tmp_path, monkeypatch):
     assert all(c["result"] == "pass" for c in report["checks"])
 
 
-def _only_block_file(cache_dir):
-    [name] = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
-    return os.path.join(cache_dir, name)
+def _block_file(cache_dir, ctx, key):
+    """The path of one block's file; a build stores its sub-blocks too."""
+    return DiskCache(cache_dir)._path(_canon_key(ctx.n, ctx.field.tag(), key))
+
+
+def _record_of(report, path):
+    """The check record of the file at ``path``; every other one passed."""
+    recs = {c["params"]["file"]: c for c in report["checks"]}
+    rec = recs.pop(os.path.basename(path))
+    assert all(r["result"] == "pass" for r in recs.values())
+    return rec
 
 
 @pytest.mark.parametrize("damage", ["record_without_basis", "truncated"])
@@ -221,7 +232,7 @@ def test_malformed_block_file_is_rebuilt(tmp_path, damage):
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb = ctx.block_basis((2, 1), (2, 1))
-    path = _only_block_file(cache_dir)
+    path = _block_file(cache_dir, ctx, bb.key)
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if damage == "truncated":
@@ -234,7 +245,8 @@ def test_malformed_block_file_is_rebuilt(tmp_path, damage):
         fh.write(text)
     ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb2 = ctx2.block_basis((2, 1), (2, 1))
-    assert ctx2.stats["blocks_loaded"] == 0
+    # its 4 one-letter and 3 two-letter sub-blocks load
+    assert ctx2.stats["blocks_loaded"] == 7
     assert ctx2.stats["blocks_built"] == 1
     assert bb2.basis_words == bb.basis_words
     # the rebuild rewrote the file, so the next context loads it
@@ -249,7 +261,7 @@ def test_altered_scalar_block_is_rebuilt(tmp_path):
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb = ctx.block_basis((2, 1), (1, 2))
-    path = _only_block_file(cache_dir)
+    path = _block_file(cache_dir, ctx, bb.key)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     _, tail = next(row for row in data["block"]["rows"] if row[1])
@@ -258,7 +270,8 @@ def test_altered_scalar_block_is_rebuilt(tmp_path):
         json.dump(data, fh)
     ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb2 = ctx2.block_basis((2, 1), (1, 2))
-    assert ctx2.stats["blocks_loaded"] == 0
+    # its 4 one-letter and 3 two-letter sub-blocks load
+    assert ctx2.stats["blocks_loaded"] == 7
     assert ctx2.stats["blocks_built"] == 1
     assert bb2.rref == bb.rref
 
@@ -269,7 +282,7 @@ def test_cache_validate_certifies_a_checksummed_record(tmp_path):
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     ctx.block_basis((2, 1), (1, 2))
-    path = _only_block_file(cache_dir)
+    path = _block_file(cache_dir, ctx, ((2, 1), (1, 2)))
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     _, tail = next(row for row in data["block"]["rows"] if row[1])
@@ -279,10 +292,69 @@ def test_cache_validate_certifies_a_checksummed_record(tmp_path):
         json.dump(data, fh)
     code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
                            tmp_path, name="val")
-    [rec] = report["checks"]
+    rec = _record_of(report, path)
     assert rec["result"] == "fail"
     assert rec["detail"] == "quarantined"
     assert os.path.exists(path + ".quarantined")
+
+
+def test_cache_validate_rebuilds_a_record_with_an_extra_pivot(tmp_path):
+    """A checksummed record that gives the one free column of ((2,1),(1,2))
+    a pivot with an empty tail, and drops it from the other tails, passes
+    the certificate, which checks only that the relation rows lie in the
+    record's span; validation compares it with a fresh build and
+    quarantines it."""
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    bb = ctx.block_basis((2, 1), (1, 2))
+    path = _block_file(cache_dir, ctx, bb.key)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    record = data["block"]
+    [free] = record["basis"]
+    assert record["dim"] == 1
+    record.update(basis=[], dim=0,
+                  rows=[[lead, [t for t in tail if t[0] != free]]
+                        for lead, tail in record["rows"]] + [[free, []]])
+    assert ctx.certify(_decode_block(ctx, bb.key, record))
+    data["sha256"] = _digest(record)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    rec = _record_of(report, path)
+    assert rec["result"] == "fail"
+    assert rec["detail"] == "quarantined"
+    assert os.path.exists(path + ".quarantined")
+
+
+def test_stored_record_hashes_to_its_header(tmp_path):
+    """The file's record hashes to the sha256 in its header, and that
+    digest of ((2,1),(1,2)) at (n, k) = (2, 2) stays what it was."""
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    ctx.block_basis((2, 1), (1, 2))
+    with open(_block_file(cache_dir, ctx, ((2, 1), (1, 2))),
+              encoding="utf-8") as fh:
+        data = json.load(fh)
+    blob = json.dumps(data["block"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == data["sha256"] == \
+        "a21755b5851aa90f6736f1727cd27552a77090fd21d49407d5b94b8d705e1550"
+
+
+def test_fresh_context_builds_no_sub_block(tmp_path):
+    """One cold build stores the block and every sub-block it built, so a
+    fresh context on the same cache builds none of them."""
+    cache_dir = str(tmp_path / "cache")
+    FockContext(2, 2, disk_cache=DiskCache(cache_dir)).block_basis((2, 1),
+                                                                   (2, 1))
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    subs = [(r, f) for r in product(range(3), range(2))
+            for f in product(range(3), range(2)) if sum(r) == sum(f)]
+    for key in subs:
+        ctx.block_basis(*key)
+    assert len(subs) == ctx.stats["blocks_loaded"] == 10
+    assert ctx.stats["blocks_built"] == 0
 
 
 def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
@@ -297,7 +369,7 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
     assert bb.basis_words == [bytes((0, 1))]
     assert not ctx.certify(BlockBasis(bb.key, bb.field, [bytes((1, 0))],
                                       bb.rref, bb.total_words, bb.live_words))
-    path = _only_block_file(cache_dir)
+    path = _block_file(cache_dir, ctx, bb.key)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     assert data["block"]["basis"] == [[[1, 1], [1, 2]]]
@@ -312,7 +384,7 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
         fh.write(text)
     code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
                            tmp_path, name="val")
-    [rec] = report["checks"]
+    rec = _record_of(report, path)
     assert rec["result"] == "fail"
     assert rec["detail"] == "quarantined"
     assert os.path.exists(path + ".quarantined")
@@ -320,7 +392,8 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
         fh.write(text)
     ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     assert ctx2.block_basis((2, 0), (1, 1)).basis_words == bb.basis_words
-    assert ctx2.stats["blocks_loaded"] == 0
+    # its 2 one-letter sub-blocks and the empty one load
+    assert ctx2.stats["blocks_loaded"] == 3
     assert ctx2.stats["blocks_built"] == 1
 
 
@@ -331,7 +404,7 @@ def _assert_old_file_ignored_and_quarantined(tmp_path, old_layout):
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
     ctx.block_basis((1, 1), (1, 1))
-    path = _only_block_file(cache_dir)
+    path = _block_file(cache_dir, ctx, ((1, 1), (1, 1)))
     with open(path, encoding="utf-8") as fh:
         old = old_layout(json.load(fh))
     for name in (os.path.basename(path), "0123456789abcdef.json"):
@@ -339,13 +412,17 @@ def _assert_old_file_ignored_and_quarantined(tmp_path, old_layout):
             json.dump(old, fh)
     ctx2 = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
     ctx2.block_basis((1, 1), (1, 1))
-    assert ctx2.stats["blocks_loaded"] == 0
+    # its 4 one-letter sub-blocks and the empty one load
+    assert ctx2.stats["blocks_loaded"] == 5
     assert ctx2.stats["blocks_built"] == 1
     code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
                            tmp_path, name="val")
     recs = {c["params"]["file"]: c["result"] for c in report["checks"]}
-    assert recs == {os.path.basename(path): "pass",
-                    "0123456789abcdef.json": "fail"}
+    # the block, its 5 sub-blocks and the old file
+    assert len(recs) == 7
+    assert recs.pop("0123456789abcdef.json") == "fail"
+    assert recs[os.path.basename(path)] == "pass"
+    assert set(recs.values()) == {"pass"}
     assert os.path.exists(os.path.join(cache_dir,
                                        "0123456789abcdef.json.quarantined"))
 
@@ -394,19 +471,23 @@ def test_relation_set_change_misses_and_quarantines(tmp_path, monkeypatch):
     """Files stored before the relation set changed are never loaded after
     it, and validation quarantines them."""
     cache_dir = str(tmp_path / "cache")
-    FockContext(2, 1, disk_cache=DiskCache(cache_dir)).block_basis((1, 1),
-                                                                   (1, 1))
-    old = os.path.basename(_only_block_file(cache_dir))
+    ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
+    ctx.block_basis((1, 1), (1, 1))
+    old = os.path.basename(_block_file(cache_dir, ctx, ((1, 1), (1, 1))))
+    # the block and its 5 sub-blocks
+    olds = set(os.listdir(cache_dir))
+    assert len(olds) == 6
     monkeypatch.setattr(qzm.cache, "RELATIONS", qzm.cache.RELATIONS + "+1")
     ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
     ctx.block_basis((1, 1), (1, 1))
     assert ctx.stats["blocks_loaded"] == 0
-    assert ctx.stats["blocks_built"] == 1
+    assert ctx.stats["blocks_built"] == 6
     code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
                            tmp_path, name="val")
     recs = {c["params"]["file"]: c for c in report["checks"]}
+    assert len(recs) == 12
     assert {f: r["result"] for f, r in recs.items()} == {
-        old: "fail", next(f for f in recs if f != old): "pass"}
+        f: "fail" if f in olds else "pass" for f in recs}
     assert recs[old]["params"]["relations"] == \
         "exchange,row_commute,flavor_swap,determinant/1"
     assert os.path.exists(os.path.join(cache_dir, old + ".quarantined"))
