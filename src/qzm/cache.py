@@ -5,17 +5,14 @@ hash of the block's full key (n, field, chirality, row content, flavor
 content, relation-set fingerprint).  Every file carries a versioned header
 naming that key, the epsilon-convention tag and a sha256 of the block
 record's canonical JSON beside the record.  Builds store the sub-blocks
-they build too (see qzm.basis), and trust the ones they load, as
-reductions do.  A file that cannot be read or decoded, or whose header or
-checksum does not match the requesting context (a file written under other
-relations included), is a miss, so the block is rebuilt.  A load also
-rejects a column that is not a live class rep of the block's chain.
-Validation quarantines a record unless it also passes the exact
-certificate `FockContext.certify` and equals a fresh build from no file:
-the certificate alone passes a record with an extra pivot.  Records are in
-class coordinates (see qzm.basis): the basis words and the echelon form
-over the commutation-class reps, nothing per word, since any word finds
-its class with ``class_rep``.
+they build too (see qzm.basis), and trust the ones they load.  A file that
+cannot be read or decoded, or whose header or checksum does not match the
+requesting context (other relations included), or with a column that is
+not a live class rep of the block's chain, is a miss, so the block is
+rebuilt.  Validation quarantines a record unless it also equals a fresh
+build that passes the exact certificate `FockContext.certify`, which alone
+would pass a record with an extra pivot.  Records are in class coordinates
+(see qzm.basis): the basis words and the echelon form over the class reps.
 
 Writes are atomic (temp file, then rename) and nothing is merged, so
 processes sharing a directory lose no blocks: writers of different blocks
@@ -186,10 +183,8 @@ class DiskCache:
         """True when a block record matches this version and the pinned
         convention, and equals a fresh build that ``FockContext.certify``
         passes.  ``contexts`` maps (n, field) to the disk-less context, with
-        this ``budget``, that one validation run keeps for it, so each block
-        is built once per run.  Malformed data reads as invalid; any other
-        error propagates.
-        """
+        this ``budget``, that one validation run keeps for it.  Malformed
+        data reads as invalid; any other error propagates."""
         try:
             n, field = data["n"], data["field"]
             ctx = contexts.get((n, field))

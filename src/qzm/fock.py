@@ -275,7 +275,7 @@ def exchange_rows(field, n, h, words):
 
     These per-word instances serve the verify-algebra sweeps and the test
     oracles.  Block builds (``qzm.basis.build_block``) and their certificate
-    (``qzm.basis.chain_rows``) list no words and do not call this.
+    (``qzm.certificate.chain_rows``) list no words and do not call this.
     """
     qpow = field.q_power
     one = field.one

@@ -18,11 +18,12 @@ from itertools import product
 
 import pytest
 
-from qzm import basis, cli
-from qzm.basis import (BlockBasis, FockContext, _alphabet, _compositions,
-                       _insert_row, _level_words, _live_reps,
-                       _reps_by_content, chain_levels, chain_rows, class_rep,
-                       class_size, live_count)
+from qzm import certificate, cli
+from qzm.basis import (BlockBasis, FockContext, _compositions, _insert_row,
+                       _level_words, chain_levels, class_rep, class_size,
+                       live_count)
+from qzm.certificate import (_alphabet, _live_reps, _reps_by_content,
+                             chain_rows)
 from qzm.cache import _encode_block
 from qzm.fock import class_words, word_from_letters, word_is_dead
 
@@ -206,8 +207,8 @@ def test_builds_use_no_chain_rows(monkeypatch):
     def certificate_path(*args):
         raise AssertionError("a build reached the certificate's rows")
 
-    monkeypatch.setattr(basis, "chain_rows", certificate_path)
-    monkeypatch.setattr(basis, "_reps_by_content", certificate_path)
+    monkeypatch.setattr(certificate, "chain_rows", certificate_path)
+    monkeypatch.setattr(certificate, "_reps_by_content", certificate_path)
     ctx = FockContext(3, 1)
     for key in keys:
         ctx.block_basis(*key)
