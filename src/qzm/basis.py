@@ -301,7 +301,9 @@ def build_block(ctx, row_content, flavor_content):
     with beta running over the basis words of the chain named:
 
       R1/R2/R3  x y beta, x != y, in chain(c - x - y): ``exchange_terms``,
-                x y - y x, or x y - q^eps(x, y) y x
+                x y - y x, or x y - q^eps(x, y) y x; R2/R3 only for x < y,
+                as eps is antisymmetric, so y x - q^eps(y, x) x y is
+                -q^eps(y, x) times x y - q^eps(x, y) y x
       R4        a^h beta, in chain(c - h a) (root mode)
       R5        the ``determinant_blocks`` b beta plus ``determinant_bare``
                 times beta, in chain(levels[1])
@@ -316,28 +318,32 @@ def build_block(ctx, row_content, flavor_content):
     its tail is otherwise the unique combination of those: the reduced
     echelon form that all relation instances give in this column order.
     One elimination, with a coordinate per column beside A_c's, finds both.
+
+    The rows stop once every coordinate a row or column can reach is a
+    pivot (the vacuum's only when the chain reaches the empty content): the
+    fully reduced tails then hold nothing, the quotient is zero, and every
+    column is a pivot with an empty tail, so no row or column scan is left.
     """
     key = (tuple(row_content), tuple(flavor_content))
     field, n, h, one = ctx.field, ctx.n, ctx.h, ctx.field.one
     levels = chain_levels(*key)
 
-    def block(w):
-        """The block of the top content less the letters of w, or None."""
-        r, f = list(key[0]), list(key[1])
-        for b in w:
-            r[b // n] -= 1
-            f[b % n] -= 1
-        return ctx.block_basis(r, f) if min(r + f) >= 0 else None
+    def sub_block(content, a, times=1):
+        """The block of the content less ``times`` letters a, or None."""
+        (r, f), (i, b) = content, divmod(a, n)
+        content = (r[:i] + (r[i] - times,) + r[i + 1:],
+                   f[:b] + (f[b] - times,) + f[b + 1:])
+        return None if min(r[i], f[b]) < times else (
+            ctx._blocks.get(content) or ctx.block_basis(*content))
 
-    subs = {a: sb for a in range(n * n)
-            if (sb := block(bytes((a,)))) is not None}
+    subs = {a: sb for a in range(n * n) if (sb := sub_block(key, a))}
     coords = {}         # letter a -> {basis word of subs[a]: coordinate}
     size = 1            # coordinate 0 is the vacuum
     for a, sb in subs.items():
         coords[a] = {w: size + i for i, w in enumerate(sb.basis_words)}
         size += sb.dim
-    # class_rep's memo for this build, knowing every column of subs is a rep
-    memo = {w: (w, 0) for sb in subs.values() for w in sb.columns}
+    empty = not sum(levels[-1][0])      # the chain reaches the empty content
+    target = size - 1 + empty           # the coordinates rows can reach
 
     def image(terms):
         """The sum of c * w over the terms (w, c), in A_c's coordinates."""
@@ -350,35 +356,42 @@ def build_block(ctx, row_content, flavor_content):
                 row[j] = row[j] + cs if j in row else cs
         return {j: c for j, c in row.items() if not c.is_zero()}
 
-    rows = []           # each a list of terms (w, c)
-    for x in subs:
-        xi, xa = divmod(x, n)
-        for y in subs:
-            yi, ya = divmod(y, n)
-            swap = ((bytes((x, y)), one),       # R3, and R2 with eps = 0
-                    (bytes((y, x)), -field.q_power(epsilon(xa, ya))))
-            sub = block(bytes((x, y))) if x != y else None
+    def rows():
+        """The relation rows, each a list of terms (w, c)."""
+        neg_q = {e: -field.q_power(e) for e in (-1, 0, 1)}
+        for x, sx in subs.items():
+            xi, xa = divmod(x, n)
+            for y in subs:
+                yi, ya = divmod(y, n)
+                swap = xi == yi or xa == ya
+                if y == x or swap and y < x or not (
+                        sub := sub_block(sx.key, y)) or not sub.dim:
+                    continue
+                pairs = (exchange_terms(field, n, x, y, sub.key[0]) if not swap
+                         else ((bytes((x, y)), one),
+                               (bytes((y, x)), neg_q[epsilon(xa, ya)])))
+                for beta in sub.basis_words:
+                    yield [(p + beta, c) for p, c in pairs]
+            sub = sub_block(key, x, h) if h else None
             for beta in sub.basis_words if sub else ():
-                pairs = swap if xi == yi or xa == ya else exchange_terms(
-                    field, n, x, y, word_row_content(n, beta))
-                rows.append([(p + beta, c) for p, c in pairs])
-        sub = block(bytes((x,)) * h) if h else None
-        rows += [[(bytes((x,)) * h + beta, one)]
-                 for beta in (sub.basis_words if sub else ())]
-        if x >= n and b"" in subs[x].index:
-            rows.append([(bytes((x,)), one)])
-    if len(levels) > 1:
-        blocks = determinant_blocks(field, n, ctx.eps_sign)
-        for beta in ctx.block_basis(*levels[1]).basis_words:
-            bare = determinant_bare(field, n, word_row_content(n, beta))
-            rows.append([(b + beta, c) for b, c in blocks] + [(beta, bare)])
-    rref, containing = {}, {}
-    for terms in rows:
-        row = image(terms)
-        if row:
-            _insert_row(row, rref, containing)
+                yield [(bytes((x,)) * h + beta, one)]
+            if x >= n and b"" in sx.index:
+                yield [(bytes((x,)), one)]
+        lower = ctx.block_basis(*levels[1]) if len(levels) > 1 else None
+        if lower and lower.dim:
+            blocks = determinant_blocks(field, n, ctx.eps_sign)
+            bare = determinant_bare(field, n, levels[1][0])
+            for beta in lower.basis_words:
+                yield [(b + beta, c) for b, c in blocks] + [(beta, bare)]
 
-    columns = [] if sum(levels[-1][0]) else [b""]
+    rref, containing, memo = {}, {}, {}     # memo: class_rep's, per build
+    for terms in rows() if target else ():
+        if row := image(terms):
+            _insert_row(row, rref, containing)
+            if len(rref) == target:
+                break
+
+    columns = [b""] if empty else []
     for a, sb in subs.items():
         ai, af = divmod(a, n)
         run = bytes((a,)) * (h - 1) if h else None
@@ -387,10 +400,17 @@ def build_block(ctx, row_content, flavor_content):
                     and all(d > a for d in takewhile(
                         lambda d: (d // n == ai) != (d % n == af), w))]
     columns.sort(key=word_sort_key)
-    tails = {}
+    zero = len(rref) == target          # the quotient is zero
+    tails = {j: {} for j in range(len(columns))} if zero else {}
     minus_one = -one
-    for j in range(len(columns) - 1, -1, -1):
-        row = image([(columns[j], one)])
+    for j in () if zero else range(len(columns) - 1, -1, -1):
+        w = columns[j]
+        if w:       # a w maps to a (x) w's tail in subs[a]
+            sb, t = subs[w[0]], subs[w[0]].index[w[1:]]
+            row = {coords[w[0]][sb.columns[u]]: s
+                   for u, s in sb.rref.get(t, {t: one}).items()}
+        else:
+            row = {0: one}
         row[size + j] = minus_one
         _reduce_row(row, rref)
         if min(row) < size:
@@ -506,18 +526,24 @@ class FockContext:
         self._wred[w] = red
         return red
 
-    def reduce_state(self, state):
-        """Express a state in quotient basis words only; idempotent."""
+    def reduce_terms(self, terms):
+        """{word: Scalar} as {basis word: nonzero Scalar}: the zero test.
+        Zero coefficients are skipped, so their words build no block."""
         acc = {}
-        for w, c in state.terms.items():
-            for fw, s in self.reduce_word(w):
+        for w, c in terms.items():
+            for fw, s in () if c.is_zero() else self.reduce_word(w):
                 cs = c if s is None else c * s
                 v = acc.get(fw)
                 acc[fw] = cs if v is None else v + cs
-        return ChiralState(self.field, self.n, state.chirality, acc)
+        return {w: c for w, c in acc.items() if not c.is_zero()}
+
+    def reduce_state(self, state):
+        """Express a state in quotient basis words only; idempotent."""
+        return ChiralState(self.field, self.n, state.chirality,
+                           self.reduce_terms(state.terms))
 
     def is_zero_state(self, state):
-        return self.reduce_state(state).is_empty()
+        return not self.reduce_terms(state.terms)
 
     # -- relation instances ----------------------------------------------
 

@@ -206,11 +206,12 @@ class DiskCache:
             return False
 
     def records(self):
-        """(file name, parsed record) pairs; the record is None when the
-        file cannot be read or does not hold a JSON object."""
-        return [(name, _read_json(os.path.join(self.directory, name)))
-                for name in sorted(os.listdir(self.directory))
-                if name.endswith(".json")]
+        """(file name, parsed record) pairs, each file parsed only when it
+        is reached, so one record is held at a time; the record is None
+        when the file cannot be read or does not hold a JSON object."""
+        for name in sorted(os.listdir(self.directory)):
+            if name.endswith(".json"):
+                yield name, _read_json(os.path.join(self.directory, name))
 
     def quarantine(self, name):
         src = os.path.join(self.directory, name)

@@ -183,11 +183,8 @@ def _word_state(ctx, w):
 
 
 def _instances_all_zero(ctx, rc, fc):
-    for inst in ctx.relation_instances(rc, fc):
-        st = ChiralState(ctx.field, ctx.n, terms=inst.terms)
-        if not ctx.is_zero_state(st):
-            return False
-    return True
+    return not any(ctx.reduce_terms(inst.terms)
+                   for inst in ctx.relation_instances(rc, fc))
 
 
 def _sweep_all_zero(ctx, contents):
@@ -272,8 +269,7 @@ def _determinant_consistency(ctx, rng, samples):
             for z in zs[:max(1, samples // 5)]:
                 for inst in determinant_rows(ctx.field, n, ctx.h,
                                              ctx.eps_sign, [z]):
-                    st = ChiralState(ctx.field, n, terms=inst.terms)
-                    if not ctx.is_zero_state(st):
+                    if ctx.reduce_terms(inst.terms):
                         return False
     return True
 

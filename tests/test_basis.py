@@ -18,7 +18,7 @@ from itertools import product
 
 import pytest
 
-from qzm import certificate, cli
+from qzm import basis, certificate, cli
 from qzm.basis import (BlockBasis, FockContext, _compositions, _insert_row,
                        _level_words, chain_levels, class_rep, class_size,
                        live_count)
@@ -213,6 +213,44 @@ def test_builds_use_no_chain_rows(monkeypatch):
     for key in keys:
         ctx.block_basis(*key)
     assert ctx.stats["blocks_built"] >= len(keys)
+
+
+def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
+    """Every block of fprime (3,1), built in a fresh context, takes 720
+    ``_insert_row`` calls in all: R2/R3 rows in one order only, no row once
+    the quotient is zero, and no row for a pair whose sub-block has no
+    basis word (making every row in both orders took 1 188).  The
+    zero-quotient exit skips the column scan, so some block with columns
+    reduces no row outside ``_insert_row``."""
+    keys = list(fprime_context(monkeypatch, 3, 1)._blocks)
+    building = []           # the builds in progress, innermost last
+    calls = {}              # key -> [_insert_row calls, _reduce_row calls]
+
+    def counted(fn, i):
+        def wrapper(*args):
+            calls[building[-1]][i] += 1
+            return fn(*args)
+        return wrapper
+
+    def build(ctx, row_content, flavor_content):
+        building.append((row_content, flavor_content))
+        calls[building[-1]] = [0, 0]
+        try:
+            return real_build(ctx, row_content, flavor_content)
+        finally:
+            building.pop()
+
+    real_build = basis.build_block
+    monkeypatch.setattr(basis, "build_block", build)
+    monkeypatch.setattr(basis, "_insert_row", counted(basis._insert_row, 0))
+    monkeypatch.setattr(basis, "_reduce_row", counted(basis._reduce_row, 1))
+    ctx = FockContext(3, 1)
+    for key in keys:
+        ctx.block_basis(*key)
+    assert len(calls) == ctx.stats["blocks_built"] == len(keys)
+    assert sum(inserts for inserts, _ in calls.values()) == 720
+    assert any(ctx._blocks[key].columns and inserts == reduces
+               for key, (inserts, reduces) in calls.items())
 
 
 def per_word_certificate(ctx, bb):

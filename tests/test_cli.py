@@ -12,6 +12,7 @@ import qzm.cache
 from qzm import cli
 from qzm.basis import BlockBasis, FockContext
 from qzm.cache import DiskCache, _canon_key, _decode_block, _digest
+from qzm.fock import ChiralState
 from qzm.qalgebra import resolve_eps_sign
 from qzm.reports import strip_timing
 
@@ -527,6 +528,65 @@ def test_cache_validate_quarantines_non_object_record(tmp_path):
     assert rec["result"] == "fail"
     assert rec["detail"] == "unreadable; quarantined"
     assert (cache_dir / "bad.json.quarantined").exists()
+
+
+def test_records_parse_one_file_at_a_time(tmp_path, monkeypatch):
+    """``cache list`` and ``cache validate`` hold one parsed record at a
+    time: ``records()`` reads a file only when the iteration reaches it."""
+    cache_dir = str(tmp_path / "cache")
+    FockContext(2, 2, disk_cache=DiskCache(cache_dir)).block_basis((2, 1),
+                                                                   (2, 1))
+    reads = []
+    real = qzm.cache._read_json
+    monkeypatch.setattr(qzm.cache, "_read_json",
+                        lambda path: reads.append(path) or real(path))
+    records = DiskCache(cache_dir).records()
+    assert not reads
+    for i, (name, data) in enumerate(records, 1):
+        assert len(reads) == i and reads[-1].endswith(name)
+        assert data["sha256"]
+    assert len(reads) == 10
+
+
+def _tree_digest(directory):
+    """(files, sha256) over the sorted file names and their bytes."""
+    h = hashlib.sha256()
+    names = sorted(os.listdir(directory))
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as fh:
+            h.update(name.encode() + b"\0" + fh.read() + b"\0")
+    return len(names), h.hexdigest()
+
+
+def test_cold_fprime_n3k1_cache_is_pinned(tmp_path):
+    """A cold ``fprime --n 3 --k 1`` cache holds the same files with the
+    same bytes, whatever the build does inside: the reduced echelon form is
+    unique, and the records are canonical JSON."""
+    cache_dir = str(tmp_path / "cache")
+    _fprime_n3k1(tmp_path, "cold", "--cache-dir", cache_dir)
+    assert _tree_digest(cache_dir) == (
+        291, "086bf7100a561865cf75c02a1b0fb07cf428dc5945c2e17d6a566a68b863892a")
+
+
+def test_zero_test_sees_a_corrupted_block():
+    """The relation sweep and ``is_zero_state`` read the stored echelon
+    forms, so one altered tail scalar fails the sweep, and the pivot minus
+    its true tail, zero before, reads nonzero."""
+    ctx = FockContext(2, 2)
+    contents = cli._sweep_contents(2, 4)
+    assert cli._sweep_all_zero(ctx, contents)[0]
+    bb = ctx.block_basis((2, 1), (1, 2))
+    lead, tail = next((j, t) for j, t in bb.rref.items() if t)
+    state = ChiralState(ctx.field, 2, terms=dict(
+        [(bb.columns[lead], ctx.field.one)]
+        + [(bb.columns[t], -s) for t, s in tail.items()]))
+    assert ctx.is_zero_state(state)
+    t = next(iter(tail))
+    tail[t] = tail[t] + ctx.field.one
+    ctx._wred.clear()       # reductions memoised before the change
+    assert not cli._sweep_all_zero(ctx, contents)[0]
+    assert not ctx.is_zero_state(state)
+    assert not ctx.is_zero_state(ctx.vacuum())
 
 
 def test_cache_purge(tmp_path):
