@@ -30,7 +30,6 @@ in (row, flavor) terms, so block bases are shared between chiralities.
 from __future__ import annotations
 
 import weakref
-from itertools import takewhile
 from math import factorial
 
 from . import fock
@@ -395,10 +394,15 @@ def build_block(ctx, row_content, flavor_content):
     for a, sb in subs.items():
         ai, af = divmod(a, n)
         run = bytes((a,)) * (h - 1) if h else None
+        # letter d -> 0 if it commutes with a and is larger, 1 if it does
+        # not commute, 2 if it commutes and is smaller; the letters that
+        # commute with a share exactly one of its row and flavor
+        t = bytearray(b"\1") * 256
+        for d in {ai * n + f for f in range(n)} ^ {r * n + af for r in range(n)}:
+            t[d] = 2 * (d < a)
         columns += [bytes((a,)) + w for w in sb.columns
                     if (w or a < n) and not (run and w.startswith(run))
-                    and all(d > a for d in takewhile(
-                        lambda d: (d // n == ai) != (d % n == af), w))]
+                    and w.translate(t).lstrip(b"\0")[:1] != b"\2"]
     columns.sort(key=word_sort_key)
     zero = len(rref) == target          # the quotient is zero
     tails = {j: {} for j in range(len(columns))} if zero else {}
@@ -472,6 +476,7 @@ class FockContext:
         self._wred = {}
         self._classes = {}      # class_rep's memo for reduce_word
         self._live = {}         # live_count's memo for build_block
+        self._diagrams = {}     # qalgebra.diagram_coordinates, by parts
         self.stats = {"blocks_built": 0, "max_block_words": 0,
                       "blocks_loaded": 0}
 

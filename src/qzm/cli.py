@@ -321,17 +321,16 @@ def cmd_fprime(cfg, ck):
     # dynamical commutation on small diagram vectors
     smalls = [y for y in dg.enumerate_diagrams(n, h) if y.boxes <= 2]
     for y in smalls:
-        v = qa.vector_of_diagram(ctx, y)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 ck.run("dynamical_commutation",
                        {"parts": list(y.parts), "i": i, "j": j}, DOCUMENTED,
-                       lambda: _commutation(ctx, v, i, j))
+                       lambda: _commutation(ctx, y, i, j))
 
     ck.run("rowcol_commutativity", {"n": n, "k": k}, DOCUMENTED,
            lambda: qa.check_rowcol_commutativity(
-               ctx, [qa.tensor_vacuum(ctx),
-                     qa.apply_Q(1, 1, qa.tensor_vacuum(ctx))]))
+               ctx, [qa.diagram_coordinates(ctx, dg.YoungDiagram(n, p))
+                     for p in ((), (1,))]))
 
     for i, j in ((1, 1), (1, 2)):
         ck.run("nilpotency", {"i": i, "j": j, "h": h}, DOCUMENTED,
@@ -353,14 +352,14 @@ def _growth(ctx, y, j):
         params["coefficient"] = out.coefficient.encode()
     cert = None
     if out.kind == qa.GROWTH_OUTSIDE:
-        cert = qa.residual_certificate(
-            ctx, qa.apply_Q(j, j, qa.vector_of_diagram(ctx, y)))
+        cert = qa.residual_certificate(ctx, out.coordinates)
     return ok, {"params": params, "certificate": cert,
                 "sizes": {"max_block_words": ctx.stats["max_block_words"]}}
 
 
-def _commutation(ctx, v, i, j):
-    verdict = qa.check_dynamical_commutation(ctx, v, i, j)
+def _commutation(ctx, y, i, j):
+    verdict = qa.check_dynamical_commutation(
+        ctx, qa.diagram_coordinates(ctx, y), i, j)
     if verdict == "vacuous":
         return SKIPPED, {"detail": "premise vacuous"}
     return verdict == "pass"
@@ -381,17 +380,19 @@ def cmd_check_w(cfg, ck):
     # the source verifies (3, k<=2, i=2); anything else is exploratory
     prov = DOCUMENTED if n == 3 and k <= 2 and i == 2 else EXPLORATORY
 
-    # the saturated-hook vectors of qa.check_hook_vanishing, built once
-    v = qa.hook_backbone(ctx, i)
-    v_h = qa.apply_Q(i, i, qa.apply_Q(1, 1, v))
-    w_h = qa.apply_Q(1, 1, qa.apply_Q(i, i, v))
     checks = [ck.run("hook_v_vanishes", params, prov,
-                     lambda: _vanishes(ctx, v_h, None)),
+                     lambda: _vanishes(ctx, qa.hook_coordinates(ctx, i, 1),
+                                       None)),
               ck.run("hook_w_vanishes", params, prov,
-                     lambda: _vanishes(ctx, w_h,
+                     lambda: _vanishes(ctx, qa.hook_coordinates(ctx, i, i),
                                        "nonzero in the constructive quotient"))]
     if any(rec.result == BUDGET for rec in checks):
         return
+
+    # the free hook vectors, for the literal cancellations of the audit
+    v = qa.hook_backbone(ctx, i)
+    v_h = qa.apply_Q(i, i, qa.apply_Q(1, 1, v))
+    w_h = qa.apply_Q(1, 1, qa.apply_Q(i, i, v))
 
     # S/A decomposition audit
     ss_v, aa_v = bl.decompose_QQ(i, i, 1, 1, v)
@@ -411,9 +412,9 @@ def cmd_check_w(cfg, ck):
                for a in range(1, n + 1) for b in range(1, n + 1) if a != b))
 
 
-def _vanishes(ctx, state, nonzero_detail):
+def _vanishes(ctx, coords, nonzero_detail):
     """Zero test whose certificate fingerprints a nonzero residual."""
-    cert = qa.residual_certificate(ctx, state)
+    cert = qa.residual_certificate(ctx, coords)
     return cert is None, {"certificate": cert,
                           "detail": None if cert is None else nonzero_detail}
 

@@ -9,6 +9,12 @@ Diagonal monomials ordered by row build the candidate basis vectors labeled
 by spread-restricted Young diagrams; the checks in this module probe
 nilpotency, growth of diagrams under diagonal operators, off-diagonal
 annihilation, the dynamical commutation identity, and the hook vectors.
+
+The checks reduce as they go: the relation span is a left ideal and reduced
+coordinates are canonical, so reduce(Q v) = reduce(Q reduce(v)), and
+``reduced_apply_Q`` applies Q to a few (basis word, basis word) pairs, not
+to a free state of up to n^m terms.  ``diagram_coordinates`` memoises each
+diagram's coordinates per context; ``vector_of_diagram`` stays free.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import diagrams as dg
 from .basis import RelationInconsistency
-from .fock import EPS_SIGN, letter_code, word_row_content
+from .fock import EPS_SIGN, letter_code, word_letters, word_row_content
 from .scalars import UsageError
 
 
@@ -118,23 +124,27 @@ def reduced_coordinates(ctx, state):
     return acc
 
 
+def reduced_apply_Q(ctx, i, j, coords):
+    """The reduced coordinates of Q^i_j v, given v's reduced coordinates."""
+    return reduced_coordinates(ctx, apply_Q(i, j, TensorState(ctx.field, ctx.n,
+                                                              coords)))
+
+
 def is_zero_tensor(ctx, state):
     return not reduced_coordinates(ctx, state)
 
 
-def residual_certificate(ctx, state):
-    """Stable fingerprint of a state's nonzero quotient coordinates.
+def residual_certificate(ctx, coords):
+    """Stable fingerprint of a vector's reduced coordinates.
 
-    Returns None for zero states, else "<count>:<hash>" over the canonically
-    ordered (basis word, basis word) -> scalar encoding; reproducible across
-    runs, usable as an audit reference for failed vanishing checks.
+    Returns None for zero coordinates, else "<count>:<hash>" over their
+    canonically ordered encoding; reproducible across runs, usable as an
+    audit reference for failed vanishing checks.
     """
     import hashlib
     import json as _json
-    coords = reduced_coordinates(ctx, state)
     if not coords:
         return None
-    from .fock import word_letters
     items = []
     for (w, wb) in sorted(coords, key=lambda k: (k[0], k[1])):
         items.append([word_letters(ctx.n, w), word_letters(ctx.n, wb),
@@ -148,22 +158,37 @@ def residual_certificate(ctx, state):
 # diagram vectors and the pre-physical space
 # ---------------------------------------------------------------------------
 
-def vector_of_diagram(ctx, y):
-    """The ordered diagonal monomial vector of an admissible diagram."""
+def _check_diagram(ctx, y):
     if y.n != ctx.n:
         raise UsageError("diagram rank does not match the context")
     if ctx.h is not None and not dg.is_admissible(y, ctx.h):
         raise UsageError(f"diagram {y.parts} is not admissible for h={ctx.h}")
+
+
+def vector_of_diagram(ctx, y):
+    """The ordered diagonal monomial vector of an admissible diagram."""
+    _check_diagram(ctx, y)
     s = tensor_vacuum(ctx)
     for row in range(1, len(y.parts) + 1):
         s = apply_Q_power(row, row, y.parts[row - 1], s)
     return s
 
 
-def weights_coincide(state):
-    """Both factors of every key must carry the same row content."""
-    g, gb = state.content_pair()
-    return g == gb
+def diagram_coordinates(ctx, y):
+    """The reduced coordinates of ``vector_of_diagram(ctx, y)``, memoised in
+    the context: Q^r_r applied to those of y less the last box of its last
+    row r, which is admissible whenever y is.  Callers must not mutate it."""
+    _check_diagram(ctx, y)
+    coords = ctx._diagrams.get(y.parts)
+    if coords is None:
+        if y.parts:
+            r = len(y.parts)
+            less = dg.YoungDiagram(ctx.n, y.parts[:-1] + (y.parts[-1] - 1,))
+            coords = reduced_apply_Q(ctx, r, r, diagram_coordinates(ctx, less))
+        else:
+            coords = reduced_coordinates(ctx, tensor_vacuum(ctx))
+        ctx._diagrams[y.parts] = coords
+    return coords
 
 
 @dataclass
@@ -187,10 +212,14 @@ def fprime_dimension(ctx):
     records = []
     dim = 0
     for y in dg.enumerate_diagrams(ctx.n, ctx.h):
-        v = vector_of_diagram(ctx, y)
-        if not weights_coincide(v):
+        coords = diagram_coordinates(ctx, y)
+        # each side keeps the diagram's row content: reduction stays in the
+        # determinant chain, and a chain of fewer than n rows has one level
+        g = y.row_content()
+        if any(word_row_content(ctx.n, w) != g or word_row_content(ctx.n, wb)
+               != g for w, wb in coords):
             raise RelationInconsistency("diagram vector with mismatched weights")
-        nz = not is_zero_tensor(ctx, v)
+        nz = bool(coords)
         if nz:
             dim += 1
         records.append(DiagramRecord(y, nz, dg.is_unitary(y, ctx.k)))
@@ -213,6 +242,7 @@ class GrowthOutcome:
     target: dg.YoungDiagram | None = None
     coefficient: object = None
     prediction: str = "diagram"
+    coordinates: dict | None = None     # reduced coordinates of Q^j_j v
 
 
 def _proportionality(coords, target_coords):
@@ -240,116 +270,118 @@ def check_growth(ctx, y, j):
     claim and is reported loudly by callers.
     """
     grown = dg.grow(y, j, ctx.h)
-    s = apply_Q(j, j, vector_of_diagram(ctx, y))
-    coords = reduced_coordinates(ctx, s)
+    coords = reduced_apply_Q(ctx, j, j, diagram_coordinates(ctx, y))
     if not coords:
-        return GrowthOutcome(GROWTH_ZERO, prediction=grown.kind)
-    if grown.kind == "diagram":
-        target = grown.diagram
-        c = _proportionality(coords, reduced_coordinates(
-            ctx, vector_of_diagram(ctx, target)))
-        if c is not None and not c.is_zero():
-            return GrowthOutcome(GROWTH_PROPORTIONAL, target, c, grown.kind)
-        return GrowthOutcome(GROWTH_OUTSIDE, prediction=grown.kind)
-    # the only admissible diagram sharing the content chain sits m steps
-    # down, where m is forced by the last row count
-    content = list(y.row_content())
-    content[j - 1] += 1
-    m = content[-1]
-    lowered = tuple(c - m for c in content)
+        return GrowthOutcome(GROWTH_ZERO, None, None, grown.kind, coords)
     target = None
-    if m > 0 and min(lowered) >= 0 and lowered[-1] == 0:
-        parts = tuple(c for c in lowered if c)
-        if all(parts[t] >= parts[t + 1] for t in range(len(parts) - 1)):
-            cand = dg.YoungDiagram(ctx.n, parts)
-            if dg.is_admissible(cand, ctx.h):
-                target = cand
+    if grown.kind == "diagram":
+        target, kind = grown.diagram, GROWTH_PROPORTIONAL
+    else:
+        # the only admissible diagram sharing the content chain sits m
+        # steps down, where m is forced by the last row count
+        content = list(y.row_content())
+        content[j - 1] += 1
+        m = content[-1]
+        lowered = tuple(c - m for c in content)
+        if m > 0 and min(lowered) >= 0 and lowered[-1] == 0:
+            parts = tuple(c for c in lowered if c)
+            if all(parts[t] >= parts[t + 1] for t in range(len(parts) - 1)):
+                cand = dg.YoungDiagram(ctx.n, parts)
+                if dg.is_admissible(cand, ctx.h):
+                    target, kind = cand, GROWTH_IN_SPAN
     if target is not None:
-        c = _proportionality(coords, reduced_coordinates(
-            ctx, vector_of_diagram(ctx, target)))
+        c = _proportionality(coords, diagram_coordinates(ctx, target))
         if c is not None and not c.is_zero():
-            return GrowthOutcome(GROWTH_IN_SPAN, target, c, grown.kind)
-    return GrowthOutcome(GROWTH_OUTSIDE, prediction=grown.kind)
+            return GrowthOutcome(kind, target, c, grown.kind, coords)
+    return GrowthOutcome(GROWTH_OUTSIDE, None, None, grown.kind, coords)
 
 
 def check_offdiagonal_annihilation(ctx, y):
     """True when every off-diagonal Q kills the diagram vector."""
-    v = vector_of_diagram(ctx, y)
-    for i in range(1, ctx.n + 1):
-        for j in range(1, ctx.n + 1):
-            if i != j and not is_zero_tensor(ctx, apply_Q(i, j, v)):
-                return False
-    return True
+    v = diagram_coordinates(ctx, y)
+    rng = range(1, ctx.n + 1)
+    return not any(i != j and reduced_apply_Q(ctx, i, j, v)
+                   for i in rng for j in rng)
 
 
 # ---------------------------------------------------------------------------
 # dynamical commutation and hook vectors
 # ---------------------------------------------------------------------------
 
-def state_p_diff(state, i, j):
-    """p_i - p_j on a weight state (content determined up to chain shifts)."""
-    g, _ = state.content_pair()
-    return (j - i) + (g[i - 1] - g[j - 1])
+def _QQ(ctx, i, j, l, m, coords):
+    """The reduced coordinates of Q^i_j Q^l_m v."""
+    return reduced_apply_Q(ctx, i, j, reduced_apply_Q(ctx, l, m, coords))
 
 
-def check_dynamical_commutation(ctx, v, i, j):
+def check_dynamical_commutation(ctx, coords, i, j):
     """[p_ij+1] Q^i_i Q^j_j v = [p_ij-1] Q^j_j Q^i_i v, given that one of
-    Q^i_j v, Q^j_i v vanishes.  Returns "pass", "fail" or "vacuous"."""
-    if i == j:
+    Q^i_j v, Q^j_i v vanishes, for a weight vector v given by its reduced
+    coordinates.  Returns "pass", "fail" or "vacuous"."""
+    if i == j or not coords:
         return "pass"
-    if not (is_zero_tensor(ctx, apply_Q(i, j, v))
-            or is_zero_tensor(ctx, apply_Q(j, i, v))):
+    if (reduced_apply_Q(ctx, i, j, coords)
+            and reduced_apply_Q(ctx, j, i, coords)):
         return "vacuous"
-    pij = state_p_diff(v, i, j)
-    lhs = apply_Q(i, i, apply_Q(j, j, v)).scale(ctx.field.q_int(pij + 1))
-    rhs = apply_Q(j, j, apply_Q(i, i, v)).scale(ctx.field.q_int(pij - 1))
-    return "pass" if is_zero_tensor(ctx, lhs - rhs) else "fail"
+    # p_i - p_j, which a determinant chain shift leaves alone
+    g = word_row_content(ctx.n, next(iter(coords))[0])
+    pij = (j - i) + (g[i - 1] - g[j - 1])
+    f, n = ctx.field, ctx.n
+    lhs = TensorState(f, n, _QQ(ctx, i, i, j, j, coords)).scale(f.q_int(pij + 1))
+    rhs = TensorState(f, n, _QQ(ctx, j, j, i, i, coords)).scale(f.q_int(pij - 1))
+    return "pass" if (lhs - rhs).is_empty() else "fail"
 
 
-def hook_backbone(ctx, i):
-    """v = Q^{i-1}_{i-1} ... Q^2_2 (Q^1_1)^{h-i} |0> of the saturated hook."""
+def hook_diagram(ctx, i):
+    """The diagram (h-i, 1, ..., 1) of i-1 rows, whose vector is the backbone
+    v = Q^{i-1}_{i-1} ... Q^2_2 (Q^1_1)^{h-i} |0> of the saturated hook."""
     if ctx.h is None:
         raise UsageError("hook vectors need root-of-unity mode")
     if not 2 <= i <= ctx.n - 1:
         raise UsageError("hook row must satisfy 2 <= i <= n-1")
-    v = apply_Q_power(1, 1, ctx.h - i, tensor_vacuum(ctx))
-    for row in range(2, i):
-        v = apply_Q(row, row, v)
-    return v
+    return dg.YoungDiagram(ctx.n, (ctx.h - i,) + (1,) * (i - 2))
+
+
+def hook_backbone(ctx, i):
+    """The backbone v of the saturated hook, as a free state."""
+    return vector_of_diagram(ctx, hook_diagram(ctx, i))
+
+
+def hook_coordinates(ctx, i, first):
+    """The reduced coordinates of v_h = Q^i_i Q^1_1 v (``first`` = 1) or
+    w_h = Q^1_1 Q^i_i v (``first`` = i)."""
+    second = i if first == 1 else 1
+    return _QQ(ctx, second, second, first, first,
+               diagram_coordinates(ctx, hook_diagram(ctx, i)))
 
 
 def check_hook_vanishing(ctx, i):
     """Vanishing of the two saturated-hook vectors Q^i_i Q^1_1 v and
     Q^1_1 Q^i_i v; the first follows from the dynamical identity, the
     second is the computational claim."""
-    v = hook_backbone(ctx, i)
-    v_h = apply_Q(i, i, apply_Q(1, 1, v))
-    w_h = apply_Q(1, 1, apply_Q(i, i, v))
-    return is_zero_tensor(ctx, v_h), is_zero_tensor(ctx, w_h)
+    return (not hook_coordinates(ctx, i, 1),
+            not hook_coordinates(ctx, i, i))
 
 
-def check_rowcol_commutativity(ctx, states, triples=None):
-    """Entries of Q in one row or one column commute, on the given states."""
+def check_rowcol_commutativity(ctx, vectors, triples=None):
+    """Entries of Q in one row or one column commute, on the vectors given
+    by their reduced coordinates (canonical, so equal vectors are equal)."""
     n = ctx.n
     if triples is None:
         triples = [(i, j, l) for i in range(1, n + 1)
                    for j in range(1, n + 1) for l in range(j + 1, n + 1)]
-    for s in states:
-        for i, j, l in triples:
-            row = apply_Q(i, j, apply_Q(i, l, s)) - apply_Q(i, l, apply_Q(i, j, s))
-            if not is_zero_tensor(ctx, row):
-                return False
-            col = apply_Q(j, i, apply_Q(l, i, s)) - apply_Q(l, i, apply_Q(j, i, s))
-            if not is_zero_tensor(ctx, col):
-                return False
-    return True
+    return all(_QQ(ctx, i, j, i, l, v) == _QQ(ctx, i, l, i, j, v)
+               and _QQ(ctx, j, i, l, i, v) == _QQ(ctx, l, i, j, i, v)
+               for v in vectors for i, j, l in triples)
 
 
 def nilpotency(ctx, i, j):
-    """(Q^i_j)^h |0> = 0 in root mode."""
+    """(Q^i_j)^h |0> = 0 in root mode; a zero step stays zero."""
     if ctx.h is None:
         raise UsageError("nilpotency is a root-of-unity statement")
-    return is_zero_tensor(ctx, apply_Q_power(i, j, ctx.h, tensor_vacuum(ctx)))
+    v = diagram_coordinates(ctx, dg.YoungDiagram(ctx.n))
+    for _ in range(ctx.h):
+        v = v and reduced_apply_Q(ctx, i, j, v)
+    return not v
 
 
 def resolve_eps_sign():

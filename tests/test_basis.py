@@ -216,10 +216,10 @@ def test_builds_use_no_chain_rows(monkeypatch):
 
 
 def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
-    """Every block of fprime (3,1), built in a fresh context, takes 720
+    """Every block of fprime (3,1), built in a fresh context, takes 714
     ``_insert_row`` calls in all: R2/R3 rows in one order only, no row once
     the quotient is zero, and no row for a pair whose sub-block has no
-    basis word (making every row in both orders took 1 188).  The
+    basis word (making every row in both orders took 1 164).  The
     zero-quotient exit skips the column scan, so some block with columns
     reduces no row outside ``_insert_row``."""
     keys = list(fprime_context(monkeypatch, 3, 1)._blocks)
@@ -248,7 +248,7 @@ def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
     for key in keys:
         ctx.block_basis(*key)
     assert len(calls) == ctx.stats["blocks_built"] == len(keys)
-    assert sum(inserts for inserts, _ in calls.values()) == 720
+    assert sum(inserts for inserts, _ in calls.values()) == 714
     assert any(ctx._blocks[key].columns and inserts == reduces
                for key, (inserts, reduces) in calls.items())
 

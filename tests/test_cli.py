@@ -565,7 +565,7 @@ def test_cold_fprime_n3k1_cache_is_pinned(tmp_path):
     cache_dir = str(tmp_path / "cache")
     _fprime_n3k1(tmp_path, "cold", "--cache-dir", cache_dir)
     assert _tree_digest(cache_dir) == (
-        291, "086bf7100a561865cf75c02a1b0fb07cf428dc5945c2e17d6a566a68b863892a")
+        236, "6e85d46d43e5b54b51937b37b25f312b1df77926b50f03ec446f79f6ba17cdec")
 
 
 def test_zero_test_sees_a_corrupted_block():

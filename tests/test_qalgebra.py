@@ -1,7 +1,10 @@
+import contextlib
+import io
+
 import pytest
 
-from qzm import qalgebra as qa
-from qzm.basis import FockContext
+from qzm import cli, qalgebra as qa
+from qzm.basis import FockContext, RelationInconsistency
 from qzm.diagrams import YoungDiagram, enumerate_diagrams
 from qzm.fock import EPS_SIGN, eps_tag
 from qzm.scalars import UsageError
@@ -122,21 +125,21 @@ def test_offdiagonal_annihilation(ctx21, ctx31):
 
 
 def test_dynamical_commutation(ctx31):
-    vac = qa.tensor_vacuum(ctx31)
+    vac = qa.diagram_coordinates(ctx31, YoungDiagram(3))
     assert qa.check_dynamical_commutation(ctx31, vac, 2, 1) == "pass"
     assert qa.check_dynamical_commutation(ctx31, vac, 1, 1) == "pass"
     for y in enumerate_diagrams(3, 4):
         if y.boxes > 2:
             continue
-        v = qa.vector_of_diagram(ctx31, y)
+        v = qa.diagram_coordinates(ctx31, y)
         for i, j in [(1, 2), (1, 3), (2, 3)]:
             assert qa.check_dynamical_commutation(ctx31, v, i, j) in ("pass", "vacuous")
 
 
 def test_rowcol_commutativity(ctx31):
-    states = [qa.tensor_vacuum(ctx31),
-              qa.apply_Q(1, 1, qa.tensor_vacuum(ctx31))]
-    assert qa.check_rowcol_commutativity(ctx31, states)
+    vectors = [qa.diagram_coordinates(ctx31, YoungDiagram(3, p))
+               for p in ((), (1,))]
+    assert qa.check_rowcol_commutativity(ctx31, vectors)
 
 
 def test_hook_vanishing(ctx31, ctx32):
@@ -192,3 +195,118 @@ def test_growth_coefficient_frozen(ctx22):
     f = ctx22.field
     assert out.kind == qa.GROWTH_IN_SPAN
     assert out.coefficient == f.q_power(1) * f.q_int(2)
+
+
+# ---------------------------------------------------------------------------
+# the reduced path against free states
+# ---------------------------------------------------------------------------
+
+def proportional(a, b):
+    """The scalar c with a == c * b, both nonzero, or None."""
+    if not b or a.keys() != b.keys():
+        return None
+    k = min(b)
+    c = a[k] / b[k]
+    return c if not c.is_zero() and all(a[x] == c * b[x] for x in b) else None
+
+
+def free_commutation(ctx, v, i, j):
+    """check_dynamical_commutation on a free state, reducing at the end."""
+    zero = qa.is_zero_tensor
+    if i == j:
+        return "pass"
+    if not (zero(ctx, qa.apply_Q(i, j, v)) or zero(ctx, qa.apply_Q(j, i, v))):
+        return "vacuous"
+    g, _ = v.content_pair()
+    pij = (j - i) + (g[i - 1] - g[j - 1])
+    lhs = qa.apply_Q(i, i, qa.apply_Q(j, j, v)).scale(ctx.field.q_int(pij + 1))
+    rhs = qa.apply_Q(j, j, qa.apply_Q(i, i, v)).scale(ctx.field.q_int(pij - 1))
+    return "pass" if zero(ctx, lhs - rhs) else "fail"
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (3, 1), (2, 5)])
+def test_reduced_path_matches_free_states(n, k):
+    """Memoised diagram coordinates, growth outcomes, off-diagonal
+    annihilation, nilpotency and dynamical commutation equal what reducing
+    the free states gives, on every admissible diagram."""
+    ctx = FockContext(n, k)
+    ys = enumerate_diagrams(n, ctx.h)
+    free = {y: qa.reduced_coordinates(ctx, qa.vector_of_diagram(ctx, y)) for y in ys}
+    for y in ys:
+        assert qa.diagram_coordinates(ctx, y) == free[y]
+        for j in range(1, n + 1):
+            out = qa.check_growth(ctx, y, j)
+            coords = qa.reduced_coordinates(
+                ctx, qa.apply_Q(j, j, qa.vector_of_diagram(ctx, y)))
+            assert out.coordinates == coords
+            found = [(t, c) for t in ys
+                     if (c := proportional(coords, free[t])) is not None]
+            kind = (qa.GROWTH_ZERO if not coords
+                    else qa.GROWTH_OUTSIDE if not found
+                    else qa.GROWTH_PROPORTIONAL if out.prediction == "diagram"
+                    else qa.GROWTH_IN_SPAN)
+            assert out.kind == kind
+            if found:
+                assert (out.target, out.coefficient) == found[0]
+        assert qa.check_offdiagonal_annihilation(ctx, y) == all(
+            i == j or not qa.reduced_coordinates(
+                ctx, qa.apply_Q(i, j, qa.vector_of_diagram(ctx, y)))
+            for i in range(1, n + 1) for j in range(1, n + 1))
+        if y.boxes <= 2:
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    assert qa.check_dynamical_commutation(
+                        ctx, qa.diagram_coordinates(ctx, y), i, j) == \
+                        free_commutation(ctx, qa.vector_of_diagram(ctx, y), i, j)
+    for i, j in ((1, 1), (1, 2)):
+        assert qa.nilpotency(ctx, i, j) == qa.is_zero_tensor(
+            ctx, qa.apply_Q_power(i, j, ctx.h, qa.tensor_vacuum(ctx)))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_hook_coordinates_match_free_states(k):
+    ctx = FockContext(3, k)
+    v = qa.hook_backbone(ctx, 2)
+    assert qa.hook_coordinates(ctx, 2, 1) == qa.reduced_coordinates(
+        ctx, qa.apply_Q(2, 2, qa.apply_Q(1, 1, v)))
+    assert qa.hook_coordinates(ctx, 2, 2) == qa.reduced_coordinates(
+        ctx, qa.apply_Q(1, 1, qa.apply_Q(2, 2, v)))
+
+
+def test_fprime_dimension_checks_the_reduced_weights():
+    """A reduced key whose side leaves its diagram's row content is an
+    inconsistency, as a mismatched free weight was."""
+    ctx = FockContext(3, 1)
+    assert qa.fprime_dimension(ctx).dimension == 7
+    one = ctx.field.one
+    ctx._diagrams[(1,)] = {(bytes([0]), bytes([1])): one}     # allowed
+    assert qa.fprime_dimension(ctx).dimension == 7
+    ctx._diagrams[(1,)] = {(bytes([0]), bytes([3])): one}     # row 2 on one side
+    with pytest.raises(RelationInconsistency):
+        qa.fprime_dimension(ctx)
+
+
+def test_fprime_reduces_few_terms_and_each_diagram_once(monkeypatch):
+    """A cold ``fprime --n 3 --k 1`` hands 2 347 free terms to
+    ``reduced_coordinates`` (7 352 when every diagram vector was reduced as a
+    free state), and the memo applies one Q per nonempty diagram."""
+    terms = []
+    reduce = qa.reduced_coordinates
+    monkeypatch.setattr(qa, "reduced_coordinates", lambda ctx, state: (
+        terms.append(len(state.terms)) or reduce(ctx, state)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.run(["fprime", "--n", "3", "--k", "1", "--format", "json"])
+    assert sum(terms) == 2347
+    calls = []
+    apply = qa.reduced_apply_Q
+    monkeypatch.setattr(qa, "reduced_apply_Q", lambda *args: (
+        calls.append(args[1:3]) or apply(*args)))
+    ctx = FockContext(3, 1)
+    ys = enumerate_diagrams(3, ctx.h)
+    qa.fprime_dimension(ctx)
+    assert sorted(calls) == sorted((y.rows, y.rows) for y in ys if y.boxes)
+    calls.clear()
+    qa.fprime_dimension(ctx)
+    for y in ys:
+        qa.check_growth(ctx, y, 1)
+    assert calls == [(1, 1)] * len(ys)
