@@ -9,11 +9,12 @@ The columns of a block are commutation classes, not words.  R2 (rows
 differ, same flavor) and R3 (same row, flavors differ) make the words of
 one content a partially commutative (trace) monoid: every word is a unit
 q^E times its class's representative, and ``class_rep`` computes both in
-closed form, so each live class is one column and a block keeps no
-per-word map.  A class dies with any of its words that ``word_is_dead``
-kills (R4, R6).  A block is built from its one-letter sub-blocks, with no
-word listed (``build_block``); the certificate for a record built
-elsewhere is in qzm.certificate.
+closed form, so each live class is one column, named by its rep, and a
+block keeps only its basis words and each pivot rep's tail over them.  A
+class dies with any of its words that ``word_is_dead`` kills (R4, R6).  A
+block is built from its one-letter sub-blocks, with no word listed
+(``build_block``); the certificate for a record built elsewhere is in
+qzm.certificate.
 
 The word order eliminates longer words toward shorter ones (so determinant
 chains rewrite downward and the vacuum stays a basis word); within one
@@ -30,6 +31,7 @@ in (row, flavor) terms, so block bases are shared between chiralities.
 from __future__ import annotations
 
 import weakref
+from itertools import chain
 from math import factorial
 
 from . import fock
@@ -207,43 +209,38 @@ def class_rep(n, w, memo=None):
 class BlockBasis:
     """Reduction data for one (row content, flavor content) block chain.
 
-    Columns are the live commutation classes, named by their reps in
-    elimination order, and ``index`` maps each rep to its column; a word
-    finds its column through ``class_rep``, so no per-word map is kept.
-    ``rref`` maps a pivot column to its tail {column: Scalar} over free
-    columns.  ``live_words`` counts the words that are not ``word_is_dead``,
-    dead classes included.
+    Its columns are the live commutation classes, named by their reps; a
+    word finds its rep through ``class_rep``, so no per-word map is kept.
+    ``basis_words`` are the free reps and ``rref`` maps every other rep, a
+    pivot, to its tail: a tuple of (basis word, Scalar) meaning the pivot's
+    reduction, ``()`` when it is zero.  Both are in column order
+    (``word_sort_key``), and so is each tail.  ``live_words`` counts the
+    words that are not ``word_is_dead``, dead classes included.
     """
 
-    __slots__ = ("key", "field", "columns", "index", "rref", "total_words",
-                 "live_words", "basis_words", "dim")
+    __slots__ = ("key", "field", "basis_words", "rref", "total_words",
+                 "live_words", "dim", "_free")
 
-    def __init__(self, key, field, columns, rref, total_words, live_words):
+    def __init__(self, key, field, basis_words, rref, total_words, live_words):
         self.key = key
         self.field = field
-        self.columns = columns
-        self.index = {w: j for j, w in enumerate(columns)}
+        self.basis_words = basis_words
         self.rref = rref
         self.total_words = total_words
         self.live_words = live_words
-        self.basis_words = [w for j, w in enumerate(columns) if j not in rref]
-        self.dim = len(self.basis_words)
+        self.dim = len(basis_words)
+        self._free = {w: ((w, None),) for w in basis_words}
 
     def reduce_word(self, w, memo=None):
         """The word as a combination of basis words: tuple of (word, Scalar),
         a None scalar meaning one; () for a word of a dead class, whose rep
         is no column.  ``memo`` is passed to ``class_rep``."""
         rep, e = class_rep(len(self.key[0]), w, memo)
-        j = self.index.get(rep)
-        if j is None:
-            return ()
-        tail = self.rref.get(j)
-        unit = self.field.q_power(e) if e else None
-        if tail is None:
-            return ((rep, unit),)
-        cols = self.columns
-        return tuple((cols[t], s if unit is None else s * unit)
-                     for t, s in tail.items())
+        red = self.rref.get(rep) or self._free.get(rep, ())
+        if e and red:
+            unit = self.field.q_power(e)
+            red = tuple((t, unit if s is None else s * unit) for t, s in red)
+        return red
 
 
 def live_count(n, h, row_content, flavor_content, memo):
@@ -374,7 +371,7 @@ def build_block(ctx, row_content, flavor_content):
             sub = sub_block(key, x, h) if h else None
             for beta in sub.basis_words if sub else ():
                 yield [(bytes((x,)) * h + beta, one)]
-            if x >= n and b"" in sx.index:
+            if x >= n and b"" in sx._free:
                 yield [(bytes((x,)), one)]
         lower = ctx.block_basis(*levels[1]) if len(levels) > 1 else None
         if lower and lower.dim:
@@ -400,35 +397,38 @@ def build_block(ctx, row_content, flavor_content):
         t = bytearray(b"\1") * 256
         for d in {ai * n + f for f in range(n)} ^ {r * n + af for r in range(n)}:
             t[d] = 2 * (d < a)
-        columns += [bytes((a,)) + w for w in sb.columns
+        columns += [bytes((a,)) + w for w in chain(sb.basis_words, sb.rref)
                     if (w or a < n) and not (run and w.startswith(run))
                     and w.translate(t).lstrip(b"\0")[:1] != b"\2"]
     columns.sort(key=word_sort_key)
     zero = len(rref) == target          # the quotient is zero
-    tails = {j: {} for j in range(len(columns))} if zero else {}
+    basis, tails = [], {}   # free columns, and pivot -> tail, last first
     minus_one = -one
     for j in () if zero else range(len(columns) - 1, -1, -1):
         w = columns[j]
         if w:       # a w maps to a (x) w's tail in subs[a]
-            sb, t = subs[w[0]], subs[w[0]].index[w[1:]]
-            row = {coords[w[0]][sb.columns[u]]: s
-                   for u, s in sb.rref.get(t, {t: one}).items()}
+            v = w[1:]
+            row = {coords[w[0]][bw]: s
+                   for bw, s in subs[w[0]].rref.get(v, ((v, one),))}
         else:
             row = {0: one}
         row[size + j] = minus_one
         _reduce_row(row, rref)
         if min(row) < size:
             _insert_row(row, rref, containing)
+            basis.append(w)
         else:
             del row[size + j]
-            tails[j] = {t - size: s for t, s in row.items()}
-    bb = BlockBasis(key, field, columns, tails,
-                    sum(class_size(r, f) for r, f in levels),
-                    sum(live_count(n, h, r, f, ctx._live) for r, f in levels))
-    if bb.index.get(b"", -1) in tails:
+            tails[w] = tuple([(columns[t - size], s)
+                              for t, s in sorted(row.items())])
+    pivots = (dict.fromkeys(columns, ()) if zero
+              else dict(reversed(tails.items())))
+    if b"" in pivots:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")
-    return bb
+    return BlockBasis(key, field, basis[::-1], pivots,
+                      sum(class_size(r, f) for r, f in levels),
+                      sum(live_count(n, h, r, f, ctx._live) for r, f in levels))
 
 
 class FamilyBasis:
@@ -567,14 +567,20 @@ class FockContext:
 
     def certify(self, bb):
         """The exact certificate for an echelon form computed elsewhere
-        (a cache record): its columns are the chain's live class reps, so
-        R2/R3 hold, and every row of ``qzm.certificate.chain_rows`` reduces
-        to zero through ``bb.rref`` alone, so every relation instance does."""
+        (a cache record): its basis words and pivots are the chain's live
+        class reps, each once, so R2/R3 hold, and every row of
+        ``qzm.certificate.chain_rows`` reduces to zero through ``bb.rref``
+        alone, so every relation instance does."""
         from .certificate import chain_rows     # builds never need it
         columns, rows = chain_rows(self.field, self.n, self.h, self.eps_sign,
                                    bb.key)
-        return (columns == bb.columns
-                and not any(_reduce_row(row, bb.rref) for row in rows))
+        if (len(columns) != bb.dim + len(bb.rref)
+                or set(columns) != bb._free.keys() | bb.rref.keys()):
+            return False
+        index = {w: j for j, w in enumerate(columns)}
+        rref = {index[p]: {index[t]: s for t, s in tail}
+                for p, tail in bb.rref.items()}
+        return not any(_reduce_row(row, rref) for row in rows)
 
 
 def _compositions(total, parts):

@@ -5,14 +5,15 @@ hash of the block's full key (n, field, chirality, row content, flavor
 content, relation-set fingerprint).  Every file carries a versioned header
 naming that key, the epsilon-convention tag and a sha256 of the block
 record's canonical JSON beside the record.  Builds store the sub-blocks
-they build too (see qzm.basis), and trust the ones they load.  A file that
+they build too (see qzm.basis), and trust the ones they load.  A record
+is the block's own data, keyed by class reps as a ``BlockBasis`` is: its
+basis words, then each pivot with its tail, in column order.  A file that
 cannot be read or decoded, or whose header or checksum does not match the
-requesting context (other relations included), or with a column that is
-not a live class rep of the block's chain, is a miss, so the block is
-rebuilt.  Validation quarantines a record unless it also equals a fresh
-build that passes the exact certificate `FockContext.certify`, which alone
-would pass a record with an extra pivot.  Records are in class coordinates
-(see qzm.basis): the basis words and the echelon form over the class reps.
+requesting context (other relations included), or whose record is no
+reduced echelon form over live class reps of the block's chain, is a
+miss, so the block is rebuilt.  Validation quarantines a record unless it
+also equals a fresh build that passes the exact certificate
+`FockContext.certify`, which alone would pass a record with an extra pivot.
 
 Writes are atomic (temp file, then rename) and nothing is merged, so
 processes sharing a directory lose no blocks: writers of different blocks
@@ -28,10 +29,11 @@ import hashlib
 import json
 import os
 import tempfile
+from itertools import chain
 
 from .basis import BlockBasis, FockContext, chain_levels, class_rep
 from .fock import (RELATIONS, eps_tag, word_flavor_content, word_from_letters,
-                   word_is_dead, word_letters, word_row_content, word_sort_key)
+                   word_is_dead, word_letters, word_row_content)
 
 SCHEMA = "qzm-basis/4"
 
@@ -82,16 +84,11 @@ def _digest(record):
 
 def _encode_block(ctx, bb):
     """The block in class coordinates: the basis words and the echelon
-    form over the columns (the class reps), ordered by ``word_sort_key``."""
+    form over the class reps, in the block's order (``word_sort_key``)."""
     n = ctx.n
-    cols = bb.columns
-    rows = []
-    for lead in sorted(bb.rref):
-        rows.append([
-            _encode_word(n, cols[lead]),
-            [[_encode_word(n, cols[t]), s.encode()]
-             for t, s in sorted(bb.rref[lead].items())],
-        ])
+    rows = [[_encode_word(n, lead),
+             [[_encode_word(n, t), s.encode()] for t, s in tail]]
+            for lead, tail in bb.rref.items()]
     return {
         "flavor_content": list(bb.key[1]),
         "total_words": bb.total_words,
@@ -104,26 +101,30 @@ def _encode_block(ctx, bb):
 
 def _decode_block(ctx, key, record):
     """The stored block; ValueError when a basis or lead word is not a live
-    class rep with one of the chain levels' contents."""
+    class rep with one of the chain levels' contents, or is listed twice,
+    or when a tail names a word that is not a basis word."""
     n = ctx.n
     field = ctx.field
     basis = [_decode_word(n, e) for e in record["basis"]]
-    leads = [_decode_word(n, r[0]) for r in record["rows"]]
+    free = set(basis)
+    if len(free) < len(basis):
+        raise ValueError("a basis word is listed twice")
+    rref = {}
+    for enc_lead, enc_tail in record["rows"]:
+        lead = _decode_word(n, enc_lead)
+        tail = tuple((_decode_word(n, we), field.decode(se))
+                     for we, se in enc_tail)
+        if lead in free or lead in rref or any(t not in free for t, _ in tail):
+            raise ValueError(f"row {lead.hex()} is not a reduced pivot")
+        rref[lead] = tail
     levels = set(chain_levels(*key))
     memo = {}
-    for w in basis + leads:
+    for w in chain(basis, rref):
         if (class_rep(n, w, memo)[0] != w or word_is_dead(n, ctx.h, w)
                 or (word_row_content(n, w),
                     word_flavor_content(n, w)) not in levels):
             raise ValueError(f"column {w.hex()} is not a live class rep")
-    columns = sorted(set(basis) | set(leads), key=word_sort_key)
-    index = {w: j for j, w in enumerate(columns)}
-    rref = {}
-    for enc_lead, enc_tail in record["rows"]:
-        rref[index[_decode_word(n, enc_lead)]] = {
-            index[_decode_word(n, we)]: field.decode(se)
-            for we, se in enc_tail}
-    return BlockBasis(key, field, columns, rref, record["total_words"],
+    return BlockBasis(key, field, basis, rref, record["total_words"],
                       record["live_words"])
 
 

@@ -380,12 +380,18 @@ def cmd_check_w(cfg, ck):
     # the source verifies (3, k<=2, i=2); anything else is exploratory
     prov = DOCUMENTED if n == 3 and k <= 2 and i == 2 else EXPLORATORY
 
-    checks = [ck.run("hook_v_vanishes", params, prov,
-                     lambda: _vanishes(ctx, qa.hook_coordinates(ctx, i, 1),
-                                       None)),
+    hook = {}       # first -> the reduced coordinates of v_h (1) or w_h (i)
+
+    def vanishes(first, nonzero_detail=None):
+        """Zero test whose certificate fingerprints a nonzero residual."""
+        hook[first] = qa.hook_coordinates(ctx, i, first)
+        cert = qa.residual_certificate(ctx, hook[first])
+        return cert is None, {"certificate": cert,
+                              "detail": None if cert is None else nonzero_detail}
+
+    checks = [ck.run("hook_v_vanishes", params, prov, lambda: vanishes(1)),
               ck.run("hook_w_vanishes", params, prov,
-                     lambda: _vanishes(ctx, qa.hook_coordinates(ctx, i, i),
-                                       "nonzero in the constructive quotient"))]
+                     lambda: vanishes(i, "nonzero in the constructive quotient"))]
     if any(rec.result == BUDGET for rec in checks):
         return
 
@@ -398,9 +404,9 @@ def cmd_check_w(cfg, ck):
     ss_v, aa_v = bl.decompose_QQ(i, i, 1, 1, v)
     ss_w, aa_w = bl.decompose_QQ(1, 1, i, i, v)
     ck.run("hook_v_equals_SS_part", params, DOCUMENTED,
-           lambda: qa.is_zero_tensor(ctx, v_h - ss_v))
+           lambda: qa.reduced_coordinates(ctx, ss_v) == hook[1])
     ck.run("hook_w_equals_AA_part", params, DOCUMENTED,
-           lambda: qa.is_zero_tensor(ctx, w_h - aa_w))
+           lambda: qa.reduced_coordinates(ctx, aa_w) == hook[i])
     ck.run("hook_split_sums", params, DOCUMENTED,
            lambda: (v_h - ss_v - aa_v).is_empty()
            and (w_h - ss_w - aa_w).is_empty())
@@ -410,13 +416,6 @@ def cmd_check_w(cfg, ck):
                                                    _word_state(ctx, w)))
                for w, _ in list(v.terms)[:6]
                for a in range(1, n + 1) for b in range(1, n + 1) if a != b))
-
-
-def _vanishes(ctx, coords, nonzero_detail):
-    """Zero test whose certificate fingerprints a nonzero residual."""
-    cert = qa.residual_certificate(ctx, coords)
-    return cert is None, {"certificate": cert,
-                          "detail": None if cert is None else nonzero_detail}
 
 
 # ---------------------------------------------------------------------------

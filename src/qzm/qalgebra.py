@@ -60,17 +60,6 @@ class TensorState:
     def __sub__(self, other):
         return self + other.scale(self.field.minus_one)
 
-    def content_pair(self):
-        """The (row content, barred row content) of the keys.
-
-        Raises if the state mixes contents, i.e. is not a weight vector.
-        """
-        pairs = {(word_row_content(self.n, w), word_row_content(self.n, wb))
-                 for w, wb in self.terms}
-        if len(pairs) != 1:
-            raise UsageError("state does not carry a single content pair")
-        return next(iter(pairs))
-
 
 def tensor_vacuum(ctx):
     return TensorState.vacuum(ctx.field, ctx.n)
@@ -270,7 +259,10 @@ def check_growth(ctx, y, j):
     claim and is reported loudly by callers.
     """
     grown = dg.grow(y, j, ctx.h)
-    coords = reduced_apply_Q(ctx, j, j, diagram_coordinates(ctx, y))
+    # a box ending the grown diagram's last row gives its memoised vector
+    last = grown.kind == "diagram" and grown.diagram.rows == j
+    coords = (diagram_coordinates(ctx, grown.diagram) if last else
+              reduced_apply_Q(ctx, j, j, diagram_coordinates(ctx, y)))
     if not coords:
         return GrowthOutcome(GROWTH_ZERO, None, None, grown.kind, coords)
     target = None
@@ -290,7 +282,8 @@ def check_growth(ctx, y, j):
                 if dg.is_admissible(cand, ctx.h):
                     target, kind = cand, GROWTH_IN_SPAN
     if target is not None:
-        c = _proportionality(coords, diagram_coordinates(ctx, target))
+        c = (ctx.field.one if last else
+             _proportionality(coords, diagram_coordinates(ctx, target)))
         if c is not None and not c.is_zero():
             return GrowthOutcome(kind, target, c, grown.kind, coords)
     return GrowthOutcome(GROWTH_OUTSIDE, None, None, grown.kind, coords)

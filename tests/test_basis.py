@@ -170,7 +170,11 @@ def eliminate_chain_rows(ctx, key):
     containing = {}
     for row in rows:
         _insert_row(row, rref, containing)
-    return BlockBasis(key, ctx.field, columns, rref,
+    return BlockBasis(key, ctx.field,
+                      [w for j, w in enumerate(columns) if j not in rref],
+                      {columns[j]: tuple((columns[t], s)
+                                         for t, s in sorted(rref[j].items()))
+                       for j in sorted(rref)},
                       sum(class_size(r, f) for r, f in levels),
                       sum(live_count(ctx.n, ctx.h, r, f, {}) for r, f in levels))
 
@@ -249,7 +253,8 @@ def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
         ctx.block_basis(*key)
     assert len(calls) == ctx.stats["blocks_built"] == len(keys)
     assert sum(inserts for inserts, _ in calls.values()) == 714
-    assert any(ctx._blocks[key].columns and inserts == reduces
+    assert any((ctx._blocks[key].basis_words or ctx._blocks[key].rref)
+               and inserts == reduces
                for key, (inserts, reduces) in calls.items())
 
 
@@ -307,15 +312,17 @@ def test_sweep_instances_touch_a_live_ending(ctx32, gctx3):
 
 def test_certificate_rejects_an_altered_block(ctx22):
     """certify accepts a built block, and rejects it after one tail scalar
-    changes."""
+    changes, or when a pivot is listed as a basis word too."""
     bb = ctx22.block_basis((2, 1), (1, 2))
     assert ctx22.certify(bb)
-    lead = next(j for j, tail in bb.rref.items() if tail)
-    tail = dict(bb.rref[lead])
-    t = next(iter(tail))
-    tail[t] = tail[t] + ctx22.field.one
-    assert not ctx22.certify(BlockBasis(bb.key, bb.field, bb.columns,
+    lead = next(p for p, tail in bb.rref.items() if tail)
+    (t, s), *rest = bb.rref[lead]
+    tail = ((t, s + ctx22.field.one), *rest)
+    assert not ctx22.certify(BlockBasis(bb.key, bb.field, bb.basis_words,
                                         {**bb.rref, lead: tail},
+                                        bb.total_words, bb.live_words))
+    assert not ctx22.certify(BlockBasis(bb.key, bb.field,
+                                        bb.basis_words + [lead], bb.rref,
                                         bb.total_words, bb.live_words))
 
 
@@ -324,15 +331,10 @@ def test_certificate_rejects_a_dropped_column(ctx22):
     the tails without it, still reduces every per-word instance to zero;
     certify rejects it, since its columns are not the chain's live reps."""
     bb = ctx22.block_basis((2, 1), (1, 2))
-    free = next(j for j in range(len(bb.columns)) if j not in bb.rref)
-
-    def shift(j):
-        return j - (j > free)
-
-    rref = {shift(lead): {shift(t): s for t, s in tail.items() if t != free}
+    free, *rest = bb.basis_words
+    rref = {lead: tuple((t, s) for t, s in tail if t != free)
             for lead, tail in bb.rref.items()}
-    dropped = BlockBasis(bb.key, bb.field,
-                         bb.columns[:free] + bb.columns[free + 1:], rref,
+    dropped = BlockBasis(bb.key, bb.field, rest, rref,
                          bb.total_words, bb.live_words)
     assert per_word_certificate(ctx22, dropped)
     assert not ctx22.certify(dropped)

@@ -398,6 +398,53 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
     assert ctx2.stats["blocks_built"] == 1
 
 
+@pytest.mark.parametrize("damage", ["tail_names_a_pivot",
+                                    "lead_is_a_basis_word", "lead_repeated",
+                                    "basis_word_repeated"])
+def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
+    """A checksummed record that is not a reduced echelon form: a tail
+    names another pivot, not a basis word (a reduction through it would
+    stop at that pivot), or a lead is a basis word too, or a lead or a
+    basis word is listed twice.  The load rejects it, so the block is
+    rebuilt, and validation quarantines the file."""
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    bb = ctx.block_basis((2, 1), (1, 2))
+    path = _block_file(cache_dir, ctx, bb.key)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    record = data["block"]
+    rows = record["rows"]
+    lead, tail = next(row for row in rows if row[1])
+    if damage == "tail_names_a_pivot":
+        tail[0][0] = next(other for other, _ in rows if other != lead)
+    elif damage == "lead_is_a_basis_word":
+        rows.append([record["basis"][0], []])
+    elif damage == "lead_repeated":
+        rows.append(rows[0])
+    else:
+        record["basis"].append(record["basis"][0])
+    data["sha256"] = _digest(record)
+    text = json.dumps(data)
+    with pytest.raises(ValueError):
+        _decode_block(ctx, bb.key, record)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    assert ctx2.block_basis((2, 1), (1, 2)).rref == bb.rref
+    # its 4 one-letter and 3 two-letter sub-blocks load
+    assert ctx2.stats["blocks_loaded"] == 7
+    assert ctx2.stats["blocks_built"] == 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    rec = _record_of(report, path)
+    assert rec["result"] == "fail"
+    assert rec["detail"] == "quarantined"
+    assert os.path.exists(path + ".quarantined")
+
+
 def _assert_old_file_ignored_and_quarantined(tmp_path, old_layout):
     """The block file turned into an older layout or another relation set,
     written at the block's own file name and at another name, is never loaded, and validation
@@ -576,13 +623,12 @@ def test_zero_test_sees_a_corrupted_block():
     contents = cli._sweep_contents(2, 4)
     assert cli._sweep_all_zero(ctx, contents)[0]
     bb = ctx.block_basis((2, 1), (1, 2))
-    lead, tail = next((j, t) for j, t in bb.rref.items() if t)
+    lead, tail = next((p, t) for p, t in bb.rref.items() if t)
     state = ChiralState(ctx.field, 2, terms=dict(
-        [(bb.columns[lead], ctx.field.one)]
-        + [(bb.columns[t], -s) for t, s in tail.items()]))
+        [(lead, ctx.field.one)] + [(t, -s) for t, s in tail]))
     assert ctx.is_zero_state(state)
-    t = next(iter(tail))
-    tail[t] = tail[t] + ctx.field.one
+    (t, s), *rest = tail
+    bb.rref[lead] = ((t, s + ctx.field.one), *rest)
     ctx._wred.clear()       # reductions memoised before the change
     assert not cli._sweep_all_zero(ctx, contents)[0]
     assert not ctx.is_zero_state(state)
