@@ -10,7 +10,7 @@ differ, same flavor) and R3 (same row, flavors differ) make the words of
 one content a partially commutative (trace) monoid: every word is a unit
 q^E times its class's representative, and ``class_rep`` computes both in
 closed form, so each live class is one column, named by its rep, and a
-block keeps only its basis words and each pivot rep's tail over them.  A
+block keeps only its basis words and each nonempty pivot tail over them.  A
 class dies with any of its words that ``word_is_dead`` kills (R4, R6).  A
 block is built from its one-letter sub-blocks, with no word listed
 (``build_block``); the certificate for a record built elsewhere is in
@@ -211,9 +211,9 @@ class BlockBasis:
 
     Its columns are the live commutation classes, named by their reps; a
     word finds its rep through ``class_rep``, so no per-word map is kept.
-    ``basis_words`` are the free reps and ``rref`` maps every other rep, a
-    pivot, to its tail: a tuple of (basis word, Scalar) meaning the pivot's
-    reduction, ``()`` when it is zero.  Both are in column order
+    ``basis_words`` are the free reps and ``rref`` maps each other rep, a
+    pivot, to its tail when that is nonempty: a tuple of (basis word,
+    Scalar) meaning the pivot's reduction.  Both are in column order
     (``word_sort_key``), and so is each tail.  ``live_words`` counts the
     words that are not ``word_is_dead``, dead classes included.
     """
@@ -233,8 +233,8 @@ class BlockBasis:
 
     def reduce_word(self, w, memo=None):
         """The word as a combination of basis words: tuple of (word, Scalar),
-        a None scalar meaning one; () for a word of a dead class, whose rep
-        is no column.  ``memo`` is passed to ``class_rep``."""
+        a None scalar meaning one; () for a word of a dead class or of a
+        pivot that reduces to zero.  ``memo`` is passed to ``class_rep``."""
         rep, e = class_rep(len(self.key[0]), w, memo)
         red = self.rref.get(rep) or self._free.get(rep, ())
         if e and red:
@@ -314,11 +314,13 @@ def build_block(ctx, row_content, flavor_content):
     its tail is otherwise the unique combination of those: the reduced
     echelon form that all relation instances give in this column order.
     One elimination, with a coordinate per column beside A_c's, finds both.
+    Only nonempty tails are kept, so a w is not listed when w is a pivot
+    with the empty tail: its image is zero, and no other row reaches it.
 
     The rows stop once every coordinate a row or column can reach is a
     pivot (the vacuum's only when the chain reaches the empty content): the
-    fully reduced tails then hold nothing, the quotient is zero, and every
-    column is a pivot with an empty tail, so no row or column scan is left.
+    fully reduced tails then hold nothing, the quotient is zero, and no
+    column is listed but the vacuum, whose scan finds it collapsed.
     """
     key = (tuple(row_content), tuple(flavor_content))
     field, n, h, one = ctx.field, ctx.n, ctx.h, ctx.field.one
@@ -388,7 +390,7 @@ def build_block(ctx, row_content, flavor_content):
                 break
 
     columns = [b""] if empty else []
-    for a, sb in subs.items():
+    for a, sb in subs.items() if len(rref) < target else ():
         ai, af = divmod(a, n)
         run = bytes((a,)) * (h - 1) if h else None
         # letter d -> 0 if it commutes with a and is larger, 1 if it does
@@ -401,10 +403,9 @@ def build_block(ctx, row_content, flavor_content):
                     if (w or a < n) and not (run and w.startswith(run))
                     and w.translate(t).lstrip(b"\0")[:1] != b"\2"]
     columns.sort(key=word_sort_key)
-    zero = len(rref) == target          # the quotient is zero
-    basis, tails = [], {}   # free columns, and pivot -> tail, last first
+    basis, tails = [], {}   # free columns, and pivot -> nonempty tail
     minus_one = -one
-    for j in () if zero else range(len(columns) - 1, -1, -1):
+    for j in range(len(columns) - 1, -1, -1):
         w = columns[j]
         if w:       # a w maps to a (x) w's tail in subs[a]
             v = w[1:]
@@ -417,16 +418,13 @@ def build_block(ctx, row_content, flavor_content):
         if min(row) < size:
             _insert_row(row, rref, containing)
             basis.append(w)
-        else:
-            del row[size + j]
+        elif len(row) > 1:      # its least coordinate is the column's own
             tails[w] = tuple([(columns[t - size], s)
-                              for t, s in sorted(row.items())])
-    pivots = (dict.fromkeys(columns, ()) if zero
-              else dict(reversed(tails.items())))
-    if b"" in pivots:
+                              for t, s in sorted(row.items())[1:]])
+    if empty and b"" not in basis:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")
-    return BlockBasis(key, field, basis[::-1], pivots,
+    return BlockBasis(key, field, basis[::-1], dict(reversed(tails.items())),
                       sum(class_size(r, f) for r, f in levels),
                       sum(live_count(n, h, r, f, ctx._live) for r, f in levels))
 
@@ -567,19 +565,21 @@ class FockContext:
 
     def certify(self, bb):
         """The exact certificate for an echelon form computed elsewhere
-        (a cache record): its basis words and pivots are the chain's live
-        class reps, each once, so R2/R3 hold, and every row of
-        ``qzm.certificate.chain_rows`` reduces to zero through ``bb.rref``
-        alone, so every relation instance does."""
+        (a cache record): its basis words and stored pivots are distinct
+        live reps of the chain, so R2/R3 hold, its tails name basis words
+        only, and, each other live rep a pivot with the empty tail, every
+        row of ``qzm.certificate.chain_rows`` reduces to zero."""
         from .certificate import chain_rows     # builds never need it
         columns, rows = chain_rows(self.field, self.n, self.h, self.eps_sign,
                                    bb.key)
-        if (len(columns) != bb.dim + len(bb.rref)
-                or set(columns) != bb._free.keys() | bb.rref.keys()):
+        index, free = {w: j for j, w in enumerate(columns)}, bb._free
+        if len(free) != bb.dim or not index.keys() >= free.keys():
             return False
-        index = {w: j for j, w in enumerate(columns)}
-        rref = {index[p]: {index[t]: s for t, s in tail}
-                for p, tail in bb.rref.items()}
+        rref = {j: {} for j, w in enumerate(columns) if w not in free}
+        for p, tail in bb.rref.items():     # each a column, no basis word
+            if index.get(p) not in rref or any(t not in free for t, _ in tail):
+                return False
+            rref[index[p]] = {index[t]: s for t, s in tail}
         return not any(_reduce_row(row, rref) for row in rows)
 
 

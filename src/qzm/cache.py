@@ -5,12 +5,12 @@ hash of the block's full key (n, field, chirality, row content, flavor
 content, relation-set fingerprint).  Every file carries a versioned header
 naming that key, the epsilon-convention tag and a sha256 of the block
 record's canonical JSON beside the record.  Builds store the sub-blocks
-they build too (see qzm.basis), and trust the ones they load.  A record
-is the block's own data, keyed by class reps as a ``BlockBasis`` is: its
-basis words, then each pivot with its tail, in column order.  A file that
-cannot be read or decoded, or whose header or checksum does not match the
-requesting context (other relations included), or whose record is no
-reduced echelon form over live class reps of the block's chain, is a
+they build too (see qzm.basis), and trust the ones they load.  A record is
+the block's own data, keyed by class reps as a ``BlockBasis`` is: its basis
+words, then each pivot with a nonempty tail and the tail, in column order.
+A file that cannot be read or decoded, or whose header or checksum does not
+match the requesting context (other relations included), or whose record is
+no reduced echelon form over live class reps of the block's chain, is a
 miss, so the block is rebuilt.  Validation quarantines a record unless it
 also equals a fresh build that passes the exact certificate
 `FockContext.certify`, which alone would pass a record with an extra pivot.
@@ -35,7 +35,7 @@ from .basis import BlockBasis, FockContext, chain_levels, class_rep
 from .fock import (RELATIONS, eps_tag, word_flavor_content, word_from_letters,
                    word_is_dead, word_letters, word_row_content)
 
-SCHEMA = "qzm-basis/4"
+SCHEMA = "qzm-basis/5"
 
 
 def _canon_key(n, field_tag, block_key):
@@ -102,9 +102,8 @@ def _encode_block(ctx, bb):
 def _decode_block(ctx, key, record):
     """The stored block; ValueError when a basis or lead word is not a live
     class rep with one of the chain levels' contents, or is listed twice,
-    or when a tail names a word that is not a basis word."""
-    n = ctx.n
-    field = ctx.field
+    or when a tail is empty or names a word that is not a basis word."""
+    n, field = ctx.n, ctx.field
     basis = [_decode_word(n, e) for e in record["basis"]]
     free = set(basis)
     if len(free) < len(basis):
@@ -114,7 +113,8 @@ def _decode_block(ctx, key, record):
         lead = _decode_word(n, enc_lead)
         tail = tuple((_decode_word(n, we), field.decode(se))
                      for we, se in enc_tail)
-        if lead in free or lead in rref or any(t not in free for t, _ in tail):
+        if (not tail or lead in free or lead in rref
+                or any(t not in free for t, _ in tail)):
             raise ValueError(f"row {lead.hex()} is not a reduced pivot")
         rref[lead] = tail
     levels = set(chain_levels(*key))

@@ -24,7 +24,7 @@ from qzm.basis import (BlockBasis, FockContext, _compositions, _insert_row,
                        live_count)
 from qzm.certificate import (_alphabet, _live_reps, _reps_by_content,
                              chain_rows)
-from qzm.cache import _encode_block
+from qzm.cache import DiskCache, _encode_block
 from qzm.fock import class_words, word_from_letters, word_is_dead
 
 
@@ -163,7 +163,8 @@ def test_fprime_blocks_match_word_level(monkeypatch, n, k):
 
 def eliminate_chain_rows(ctx, key):
     """The block as eliminating every row of ``chain_rows`` gives it, over
-    every live class of the chain and without sub-blocks."""
+    every live class of the chain and without sub-blocks, with every pivot
+    stored, those with the empty tail included."""
     levels = chain_levels(*key)
     columns, rows = chain_rows(ctx.field, ctx.n, ctx.h, ctx.eps_sign, key)
     rref = {}
@@ -179,9 +180,20 @@ def eliminate_chain_rows(ctx, key):
                       sum(live_count(ctx.n, ctx.h, r, f, {}) for r, f in levels))
 
 
+def full_record(ctx, bb):
+    """The block's cache record with each implicit pivot, a live rep of the
+    chain that is neither a basis word nor stored, given the empty tail:
+    the record of a block that stores every pivot."""
+    columns, _ = chain_rows(ctx.field, ctx.n, ctx.h, ctx.eps_sign, bb.key)
+    assert bb.rref.keys() <= set(columns), bb.key
+    rref = {w: bb.rref.get(w, ()) for w in columns if w not in bb._free}
+    return _encode_block(ctx, BlockBasis(bb.key, bb.field, bb.basis_words,
+                                         rref, bb.total_words, bb.live_words))
+
+
 def assert_blocks_match_row_elimination(ctx, keys):
     for key in keys:
-        assert _encode_block(ctx, ctx.block_basis(*key)) == \
+        assert full_record(ctx, ctx.block_basis(*key)) == \
             _encode_block(ctx, eliminate_chain_rows(ctx, key)), key
 
 
@@ -223,9 +235,9 @@ def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
     """Every block of fprime (3,1), built in a fresh context, takes 714
     ``_insert_row`` calls in all: R2/R3 rows in one order only, no row once
     the quotient is zero, and no row for a pair whose sub-block has no
-    basis word (making every row in both orders took 1 164).  The
-    zero-quotient exit skips the column scan, so some block with columns
-    reduces no row outside ``_insert_row``."""
+    basis word (making every row in both orders took 1 164).  A zero
+    quotient lists no columns but the vacuum, so some zero-quotient block
+    with live words reduces no row outside ``_insert_row``."""
     keys = list(fprime_context(monkeypatch, 3, 1)._blocks)
     building = []           # the builds in progress, innermost last
     calls = {}              # key -> [_insert_row calls, _reduce_row calls]
@@ -253,7 +265,7 @@ def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
         ctx.block_basis(*key)
     assert len(calls) == ctx.stats["blocks_built"] == len(keys)
     assert sum(inserts for inserts, _ in calls.values()) == 714
-    assert any((ctx._blocks[key].basis_words or ctx._blocks[key].rref)
+    assert any(ctx._blocks[key].live_words and not ctx._blocks[key].dim
                and inserts == reduces
                for key, (inserts, reduces) in calls.items())
 
@@ -312,32 +324,61 @@ def test_sweep_instances_touch_a_live_ending(ctx32, gctx3):
 
 def test_certificate_rejects_an_altered_block(ctx22):
     """certify accepts a built block, and rejects it after one tail scalar
-    changes, or when a pivot is listed as a basis word too."""
+    changes, when a pivot is listed as a basis word too, or when a tail
+    names a pivot or a word that is no live rep of the chain."""
     bb = ctx22.block_basis((2, 1), (1, 2))
     assert ctx22.certify(bb)
     lead = next(p for p, tail in bb.rref.items() if tail)
     (t, s), *rest = bb.rref[lead]
-    tail = ((t, s + ctx22.field.one), *rest)
-    assert not ctx22.certify(BlockBasis(bb.key, bb.field, bb.basis_words,
-                                        {**bb.rref, lead: tail},
-                                        bb.total_words, bb.live_words))
+    other = next(p for p in bb.rref if p != lead)
+    for tail in (((t, s + ctx22.field.one), *rest), ((other, s), *rest),
+                 ((bytes((3,)), s), *rest)):
+        assert not ctx22.certify(BlockBasis(bb.key, bb.field, bb.basis_words,
+                                            {**bb.rref, lead: tail},
+                                            bb.total_words, bb.live_words))
     assert not ctx22.certify(BlockBasis(bb.key, bb.field,
                                         bb.basis_words + [lead], bb.rref,
                                         bb.total_words, bb.live_words))
 
 
-def test_certificate_rejects_a_dropped_column(ctx22):
+def test_certificate_rejects_a_dropped_column(ctx22, tmp_path):
     """A block that reads a live class as dead, its free column dropped and
-    the tails without it, still reduces every per-word instance to zero;
-    certify rejects it, since its columns are not the chain's live reps."""
+    the tails without it, still reduces every per-word instance to zero.
+    The dropped column reads as one more implicit pivot, and certify passes
+    an extra pivot by design, so it passes this block; ``cache validate``
+    compares its record with a fresh build and quarantines it."""
     bb = ctx22.block_basis((2, 1), (1, 2))
     free, *rest = bb.basis_words
-    rref = {lead: tuple((t, s) for t, s in tail if t != free)
-            for lead, tail in bb.rref.items()}
-    dropped = BlockBasis(bb.key, bb.field, rest, rref,
+    tails = {lead: tuple((t, s) for t, s in tail if t != free)
+             for lead, tail in bb.rref.items()}
+    dropped = BlockBasis(bb.key, bb.field, rest,
+                         {lead: tail for lead, tail in tails.items() if tail},
                          bb.total_words, bb.live_words)
     assert per_word_certificate(ctx22, dropped)
-    assert not ctx22.certify(dropped)
+    assert ctx22.certify(dropped)
+    cache = DiskCache(str(tmp_path / "cache"))
+    cache.store_block(ctx22, bb.key, dropped)
+    [(name, _)] = cache.records()
+    out = tmp_path / "val.json"
+    cli.run(["cache", "validate", "--cache-dir", cache.directory,
+             "--format", "json", "--out", str(out)])
+    [check] = json.loads(out.read_text())["checks"]
+    assert (check["params"]["file"], check["result"], check["detail"]) == \
+        (name, "fail", "quarantined")
+    assert os.listdir(cache.directory) == [name + ".quarantined"]
+
+
+def test_blocks_store_only_nonempty_tails(monkeypatch):
+    """Over the 236 blocks of fprime (3,1) no stored tail is empty, each of
+    the 157 zero-quotient blocks holds nothing, and the stored tails number
+    583, where storing every pivot took 1 825."""
+    blocks = fprime_context(monkeypatch, 3, 1)._blocks.values()
+    assert len(blocks) == 236
+    assert all(tail for bb in blocks for tail in bb.rref.values())
+    zero = [bb for bb in blocks if not bb.dim]
+    assert len(zero) == 157
+    assert all(bb.rref == {} and bb.basis_words == [] for bb in zero)
+    assert sum(len(bb.rref) for bb in blocks) == 583
 
 
 def test_generic_blocks_match_word_level(gctx2):
@@ -509,7 +550,7 @@ def block_records_digest(ctx, max_letters):
         for rc in _compositions(total, ctx.n):
             for fc in _compositions(total, ctx.n):
                 record = [[list(rc), list(fc)],
-                          _encode_block(ctx, ctx.block_basis(rc, fc))]
+                          full_record(ctx, ctx.block_basis(rc, fc))]
                 h.update(json.dumps(record, sort_keys=True,
                                     separators=(",", ":")).encode())
                 h.update(b"\n")

@@ -300,9 +300,10 @@ def test_cache_validate_certifies_a_checksummed_record(tmp_path):
 
 
 def test_cache_validate_rebuilds_a_record_with_an_extra_pivot(tmp_path):
-    """A checksummed record that gives the one free column of ((2,1),(1,2))
-    a pivot with an empty tail, and drops it from the other tails, passes
-    the certificate, which checks only that the relation rows lie in the
+    """A checksummed record that drops the one free column of ((2,1),(1,2))
+    from its basis and from every tail, so that it reads as an implicit
+    pivot and so does every pivot whose tail named only it, passes the
+    certificate, which checks only that the relation rows lie in the
     record's span; validation compares it with a fresh build and
     quarantines it."""
     cache_dir = str(tmp_path / "cache")
@@ -314,9 +315,9 @@ def test_cache_validate_rebuilds_a_record_with_an_extra_pivot(tmp_path):
     record = data["block"]
     [free] = record["basis"]
     assert record["dim"] == 1
-    record.update(basis=[], dim=0,
-                  rows=[[lead, [t for t in tail if t[0] != free]]
-                        for lead, tail in record["rows"]] + [[free, []]])
+    rows = [[lead, [t for t in tail if t[0] != free]]
+            for lead, tail in record["rows"]]
+    record.update(basis=[], dim=0, rows=[row for row in rows if row[1]])
     assert ctx.certify(_decode_block(ctx, bb.key, record))
     data["sha256"] = _digest(record)
     with open(path, "w", encoding="utf-8") as fh:
@@ -400,13 +401,14 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
 
 @pytest.mark.parametrize("damage", ["tail_names_a_pivot",
                                     "lead_is_a_basis_word", "lead_repeated",
-                                    "basis_word_repeated"])
+                                    "basis_word_repeated", "empty_tail"])
 def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
     """A checksummed record that is not a reduced echelon form: a tail
     names another pivot, not a basis word (a reduction through it would
     stop at that pivot), or a lead is a basis word too, or a lead or a
-    basis word is listed twice.  The load rejects it, so the block is
-    rebuilt, and validation quarantines the file."""
+    basis word is listed twice, or a row has the empty tail, which a record
+    leaves implicit.  The load rejects it, so the block is rebuilt, and
+    validation quarantines the file."""
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb = ctx.block_basis((2, 1), (1, 2))
@@ -422,6 +424,8 @@ def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
         rows.append([record["basis"][0], []])
     elif damage == "lead_repeated":
         rows.append(rows[0])
+    elif damage == "empty_tail":
+        tail.clear()
     else:
         record["basis"].append(record["basis"][0])
     data["sha256"] = _digest(record)
@@ -505,6 +509,14 @@ def test_class_map_file_ignored_and_quarantined(tmp_path):
         old["sha256"] = _digest(old["block"])
         return old
     _assert_old_file_ignored_and_quarantined(tmp_path, class_map)
+
+
+def test_all_pivot_file_ignored_and_quarantined(tmp_path):
+    def all_pivots(data):
+        # schema qzm-basis/4: every pivot stored, those with the empty tail
+        # included; this block has none, so only the schema differs
+        return dict(data, schema="qzm-basis/4")
+    _assert_old_file_ignored_and_quarantined(tmp_path, all_pivots)
 
 
 def test_other_relation_set_file_ignored_and_quarantined(tmp_path):
@@ -612,7 +624,7 @@ def test_cold_fprime_n3k1_cache_is_pinned(tmp_path):
     cache_dir = str(tmp_path / "cache")
     _fprime_n3k1(tmp_path, "cold", "--cache-dir", cache_dir)
     assert _tree_digest(cache_dir) == (
-        236, "6e85d46d43e5b54b51937b37b25f312b1df77926b50f03ec446f79f6ba17cdec")
+        236, "9201c3d50066e84d0a45a83278a189c1b3f46bf965704fc323463f7f61f6ddb7")
 
 
 def test_zero_test_sees_a_corrupted_block():
