@@ -10,8 +10,7 @@ from .basis import (BudgetExceeded, DEFAULT_BUDGET, FockContext,
                     RelationInconsistency, quotient_basis)
 from .diagrams import (YoungDiagram, count_diagrams, enumerate_diagrams,
                        grow, is_unitary, max_hook, render, spread)
-from .fock import (BARRED, EPS_SIGN, UNBARRED, ChiralState, Letter,
-                   apply_letter, eps_tag, word_weight)
+from .fock import EPS_SIGN, ChiralState, eps_tag
 from .qalgebra import (TensorState, apply_Q, check_dynamical_commutation,
                        check_growth, check_hook_vanishing,
                        check_offdiagonal_annihilation,
@@ -20,5 +19,4 @@ from .qalgebra import (TensorState, apply_Q, check_dynamical_commutation,
                        tensor_vacuum, vector_of_diagram)
 from .scalars import (FieldError, FieldSpec, GENERIC, ROOT, UsageError,
                       make_field)
-from .weights import (WeightVector, epsilon, eval_bracket, p_diff, shift,
-                      vacuum_weight)
+from .weights import epsilon, p_diff

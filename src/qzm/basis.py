@@ -24,8 +24,8 @@ that word-level elimination would leave free, so quotient bases and every
 word's reduction are the same as eliminating all relation instances over
 all words.  The reduced row echelon form is uniquely determined by the
 relation span and the column order, so results are reproducible bit for
-bit however they are computed.  Barred classes satisfy identical templates
-in (row, flavor) terms, so block bases are shared between chiralities.
+bit however they are computed.  Barred words satisfy identical templates
+in (row, flavor) terms, so they reduce through the same blocks.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ import weakref
 from itertools import chain
 from math import factorial
 
-from . import fock
-from .fock import (EPS_SIGN, ChiralState, class_words, determinant_blocks,
+from .fock import (ChiralState, class_words, determinant_blocks,
                    determinant_bare, determinant_rows, exchange_rows,
                    exchange_terms, word_flavor_content, word_is_dead,
                    word_row_content, word_sort_key)
@@ -377,7 +376,7 @@ def build_block(ctx, row_content, flavor_content):
                 yield [(bytes((x,)), one)]
         lower = ctx.block_basis(*levels[1]) if len(levels) > 1 else None
         if lower and lower.dim:
-            blocks = determinant_blocks(field, n, ctx.eps_sign)
+            blocks = determinant_blocks(field, n)
             bare = determinant_bare(field, n, levels[1][0])
             for beta in lower.basis_words:
                 yield [(b + beta, c) for b, c in blocks] + [(beta, bare)]
@@ -439,11 +438,11 @@ class FamilyBasis:
 
 
 # ---------------------------------------------------------------------------
-# context: field + conventions + caches
+# context: field + budget + caches
 # ---------------------------------------------------------------------------
 
 class FockContext:
-    """Owns the field, the epsilon convention, budgets and all basis caches.
+    """Owns the field, the budget and all basis caches.
 
     Block construction is pure; the cache behaves as a get-or-compute map.
     A context is intended for single-threaded use: its field memoises
@@ -451,8 +450,8 @@ class FockContext:
     released, so the memo lives no longer than the context.
     """
 
-    def __init__(self, n, k=None, *, generic=False, eps_sign=EPS_SIGN,
-                 budget=DEFAULT_BUDGET, disk_cache=None):
+    def __init__(self, n, k=None, *, generic=False, budget=DEFAULT_BUDGET,
+                 disk_cache=None):
         if not 2 <= n <= 16:
             raise UsageError("need 2 <= n <= 16: a letter is one byte")
         if generic:
@@ -467,7 +466,6 @@ class FockContext:
             self.field = make_field(ROOT, self.h)
         weakref.finalize(self, self.field.clear_memo)
         self.n = n
-        self.eps_sign = eps_sign
         self.budget = budget
         self.disk_cache = disk_cache
         self._blocks = {}
@@ -477,9 +475,6 @@ class FockContext:
         self._diagrams = {}     # qalgebra.diagram_coordinates, by parts
         self.stats = {"blocks_built": 0, "max_block_words": 0,
                       "blocks_loaded": 0}
-
-    def vacuum(self, chirality=fock.UNBARRED):
-        return ChiralState.vacuum(self.field, self.n, chirality)
 
     # -- quotient bases ------------------------------------------------------
 
@@ -542,8 +537,7 @@ class FockContext:
 
     def reduce_state(self, state):
         """Express a state in quotient basis words only; idempotent."""
-        return ChiralState(self.field, self.n, state.chirality,
-                           self.reduce_terms(state.terms))
+        return ChiralState(self.field, self.n, self.reduce_terms(state.terms))
 
     def is_zero_state(self, state):
         return not self.reduce_terms(state.terms)
@@ -561,7 +555,7 @@ class FockContext:
         for ws in level_words:
             yield from exchange_rows(field, n, h, ws)
         for ws in level_words[1:]:
-            yield from determinant_rows(field, n, h, self.eps_sign, ws)
+            yield from determinant_rows(field, n, h, ws)
 
     def certify(self, bb):
         """The exact certificate for an echelon form computed elsewhere
@@ -570,8 +564,7 @@ class FockContext:
         only, and, each other live rep a pivot with the empty tail, every
         row of ``qzm.certificate.chain_rows`` reduces to zero."""
         from .certificate import chain_rows     # builds never need it
-        columns, rows = chain_rows(self.field, self.n, self.h, self.eps_sign,
-                                   bb.key)
+        columns, rows = chain_rows(self.field, self.n, self.h, bb.key)
         index, free = {w: j for j, w in enumerate(columns)}, bb._free
         if len(free) != bb.dim or not index.keys() >= free.keys():
             return False

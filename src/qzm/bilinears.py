@@ -8,7 +8,7 @@ with, for a != b,
 
 while A vanishes and S is the bare product on the flavor diagonal.  The
 barred bilinears have exactly the same expansion in (row, flavor) terms,
-so one table serves both chiralities.
+so one table serves both factors of a tensor state.
 
 The completeness of the split, the flavor relabeling symmetries, the
 contraction vanishing of mixed S (x) Abar pairs, and the S/A decomposition
@@ -22,7 +22,7 @@ from __future__ import annotations
 from .fock import ChiralState, letter_code, word_row_content
 from .qalgebra import TensorState, apply_Q
 from .scalars import UsageError
-from .weights import epsilon
+from .weights import epsilon, p_diff
 
 KIND_ANTI = "A"
 KIND_SYM = "S"
@@ -63,7 +63,7 @@ def apply_bilinear(kind, i, j, a, b, state):
             cx = c * x
             v = out.get(key)
             out[key] = cx if v is None else v + cx
-    return ChiralState(field, n, state.chirality, out)
+    return ChiralState(field, n, out)
 
 
 def apply_tensor_pair(kind_left, kind_right, i, j, l, m, state):
@@ -141,7 +141,7 @@ def check_dynamical_AS(ctx, state, i, j, a, b):
             g = c
         elif g != c:
             raise UsageError("dynamical check needs a weight state")
-    pij = (j - i) + (g[i - 1] - g[j - 1])
+    pij = p_diff(g, i, j)
     lhs = apply_bilinear(KIND_ANTI, i, j, a, b, state).scale(ctx.field.q_int(pij + 1))
     rhs = apply_bilinear(KIND_ANTI, j, i, a, b, state).scale(ctx.field.q_int(pij - 1))
     if not ctx.is_zero_state(lhs + rhs):

@@ -19,8 +19,8 @@ Writes are atomic (temp file, then rename) and nothing is merged, so
 processes sharing a directory lose no blocks: writers of different blocks
 touch different files, and writers of the same block write identical bytes,
 since the echelon form is unique for a given span and word order.  Barred
-classes satisfy the same relations as unbarred ones in (row, flavor) terms,
-so records are stored once under chirality "unbarred".
+words satisfy the same relations as unbarred ones in (row, flavor) terms and
+reduce through the same blocks, so the key's chirality is always "unbarred".
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def _header_ok(ctx, key, data):
     """The header names this block and convention, and the checksum matches
     the stored record."""
     return ({k: data.get(k) for k in key} == key
-            and data.get("eps") == eps_tag(ctx.eps_sign)
+            and data.get("eps") == eps_tag()
             and data.get("sha256") == _digest(data.get("block")))
 
 
@@ -161,7 +161,7 @@ class DiskCache:
         key = _canon_key(ctx.n, ctx.field.tag(), block_key)
         blob = _canonical(_encode_block(ctx, bb))
         digest = hashlib.sha256(blob.encode()).hexdigest()
-        header = json.dumps(dict(key, eps=eps_tag(ctx.eps_sign), sha256=digest),
+        header = json.dumps(dict(key, eps=eps_tag(), sha256=digest),
                             sort_keys=True)
         # serialised once: "block" sorts before every header key
         self._atomic_write(self._path(key),

@@ -91,7 +91,7 @@ def _live_reps(alphabet, reps, levels):
                    if not w or w[-1] < n), key=word_sort_key)
 
 
-def chain_rows(field, n, h, eps_sign, key):
+def chain_rows(field, n, h, key):
     """(columns, rows) of one block chain, for its certificate: the chain
     levels' live class reps ordered by ``word_sort_key``, and an iterator
     over rows that span its relation instances, each a nonempty {column:
@@ -156,7 +156,7 @@ def chain_rows(field, n, h, eps_sign, key):
 
     def rows():
         if len(levels) > 1:
-            blocks = determinant_blocks(field, n, eps_sign)
+            blocks = determinant_blocks(field, n)
         for level, (r, f) in enumerate(levels):
             c = alphabet.pack(r, f)
             room = c | guard

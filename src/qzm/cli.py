@@ -9,6 +9,7 @@ findings and never fail the run.
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 import time
@@ -16,8 +17,8 @@ import time
 from . import __version__, bilinears as bl, diagrams as dg, qalgebra as qa
 from .basis import BudgetExceeded, DEFAULT_BUDGET, FockContext, _compositions
 from .cache import DiskCache
-from .fock import (EPS_SIGN, ChiralState, class_words, determinant_rows,
-                   eps_tag, word_is_dead)
+from .fock import (ChiralState, class_words, determinant_rows, eps_tag,
+                   word_is_dead)
 from .reports import (BUDGET, CheckRecord, DERIVED, EXPLORATORY, FAIL, DOCUMENTED,
                       PASS, Report, SKIPPED)
 from .scalars import GENERIC, ROOT, make_field
@@ -267,8 +268,7 @@ def _determinant_consistency(ctx, rng, samples):
             zs = class_words(n, rc, fc)
             rng.shuffle(zs)
             for z in zs[:max(1, samples // 5)]:
-                for inst in determinant_rows(ctx.field, n, ctx.h,
-                                             ctx.eps_sign, [z]):
+                for inst in determinant_rows(ctx.field, n, ctx.h, [z]):
                     if ctx.reduce_terms(inst.terms):
                         return False
     return True
@@ -423,10 +423,6 @@ def cmd_check_w(cfg, ck):
 # ---------------------------------------------------------------------------
 
 def cmd_cache(cfg, ck):
-    if not cfg.cache_dir:
-        ck.run("cache", {}, DERIVED,
-               lambda: (False, {"detail": "--cache-dir is required"}))
-        return
     cache = DiskCache(cfg.cache_dir)
     if cfg.cache_action == "purge":
         ck.run("cache_purge", {}, DERIVED,
@@ -505,10 +501,17 @@ def build_parser():
 
 def _check_ranges(parser, cfg):
     """Reject out-of-range input as a usage error, exit status 2."""
-    least = {"samples": 1} if cfg.n is None else {"samples": 1, "n": 2, "k": 1}
+    least = {"samples": 1, "budget": 1}
+    if cfg.n is not None:
+        least.update(n=2, k=1)
     for name, low in least.items():
         if getattr(cfg, name) < low:
             parser.error(f"--{name} must be at least {low}")
+    if cfg.command == "cache" and not cfg.cache_dir:
+        parser.error("the cache command needs --cache-dir")
+    if cfg.out and (os.path.isdir(cfg.out)
+                    or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
+        parser.error(f"--out {cfg.out}: not a file in an existing directory")
     # words are byte strings, one byte per letter, n * n letters
     if cfg.command in ("verify-algebra", "fprime", "check-w") and cfg.n > 16:
         parser.error("--n must be at most 16 for this command")
@@ -525,7 +528,7 @@ def run(argv=None):
     cfg.h = None if cfg.n is None else cfg.n + cfg.k
     ck = Checker()
     COMMANDS[cfg.command](cfg, ck)
-    report = Report(__version__, eps_tag(EPS_SIGN), _echo(cfg), ck.records)
+    report = Report(__version__, eps_tag(), _echo(cfg), ck.records)
     if cfg.format == "json":
         payload = report.to_json()
     elif cfg.format == "csv":

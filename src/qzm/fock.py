@@ -3,14 +3,13 @@
 A generator letter carries a row index i and a flavor index alpha, both in
 1..n.  Words are byte strings of letter codes (i-1)*n + (alpha-1); the
 leftmost byte is the leftmost operator factor, so the rightmost byte acts
-first on the vacuum.  States are sparse word -> Scalar maps over one
-chirality.
+first on the vacuum.  States are sparse word -> Scalar maps.
 
 The barred generators satisfy relations of exactly the same shape in
 (row, flavor) terms -- same exchange templates, same vacuum conditions,
 same determinant contraction pattern, with the barred weights shifting the
-same way -- so one set of templates serves both chiralities (a test pins
-this down).
+same way -- so barred words are words too, the second factor of a
+``qzm.qalgebra.TensorState``, and one set of templates serves both.
 
 Relation templates, with all weight dependence evaluated on the suffix the
 instance acts on:
@@ -40,10 +39,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .scalars import UsageError
-from .weights import WeightVector, epsilon, vacuum_weight
-
-UNBARRED = "unbarred"
-BARRED = "barred"
+from .weights import epsilon, p_diff
 
 TEMPLATE_EXCHANGE = "exchange"          # R1
 TEMPLATE_COMMUTE = "row_commute"        # R2
@@ -65,16 +61,9 @@ RELATIONS = ",".join((TEMPLATE_EXCHANGE, TEMPLATE_COMMUTE, TEMPLATE_FLAVOR_SWAP,
 EPS_SIGN = -1
 
 
-def eps_tag(sign):
+def eps_tag():
     """The convention tag recorded in reports and cache headers."""
-    return f"qeps{sign:+d}"
-
-
-@dataclass(frozen=True)
-class Letter:
-    chirality: str
-    row: int
-    flavor: int
+    return f"qeps{EPS_SIGN:+d}"
 
 
 def letter_code(n, row, flavor):
@@ -103,14 +92,6 @@ def word_flavor_content(n, w):
     for code in w:
         c[code % n] += 1
     return tuple(c)
-
-
-def word_weight(n, w):
-    """Vacuum weight shifted once per letter by its row index."""
-    p = list(vacuum_weight(n).p)
-    for code in w:
-        p[code // n] += 1
-    return WeightVector(n, p)
 
 
 def word_is_dead(n, h, w):
@@ -147,49 +128,46 @@ def word_sort_key(w):
 # ---------------------------------------------------------------------------
 
 class ChiralState:
-    """Sparse Scalar-weighted combination of words of one chirality."""
+    """Sparse Scalar-weighted combination of words."""
 
-    __slots__ = ("field", "n", "chirality", "terms")
+    __slots__ = ("field", "n", "terms")
 
-    def __init__(self, field, n, chirality=UNBARRED, terms=None):
+    def __init__(self, field, n, terms=None):
         self.field = field
         self.n = n
-        self.chirality = chirality
         self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
-    def vacuum(cls, field, n, chirality=UNBARRED):
-        return cls(field, n, chirality, {b"": field.one})
+    def vacuum(cls, field, n):
+        return cls(field, n, {b"": field.one})
 
     def is_empty(self):
         return not self.terms
 
     def scale(self, c):
         if c.is_zero():
-            return ChiralState(self.field, self.n, self.chirality)
-        return ChiralState(self.field, self.n, self.chirality,
+            return ChiralState(self.field, self.n)
+        return ChiralState(self.field, self.n,
                            {w: c * x for w, x in self.terms.items()})
 
     def __add__(self, other):
-        if self.chirality != other.chirality:
-            raise UsageError("chirality mismatch")
         out = dict(self.terms)
         zero = self.field.zero
         for w, c in other.terms.items():
             out[w] = out.get(w, zero) + c
-        return ChiralState(self.field, self.n, self.chirality, out)
+        return ChiralState(self.field, self.n, out)
 
     def __sub__(self, other):
         return self + other.scale_neg()
 
     def scale_neg(self):
-        return ChiralState(self.field, self.n, self.chirality,
+        return ChiralState(self.field, self.n,
                            {w: -c for w, c in self.terms.items()})
 
     def apply_letter(self, row, flavor):
         """Left multiplication by one generator letter; no reduction."""
         code = bytes([letter_code(self.n, row, flavor)])
-        return ChiralState(self.field, self.n, self.chirality,
+        return ChiralState(self.field, self.n,
                            {code + w: c for w, c in self.terms.items()})
 
     def __repr__(self):
@@ -198,13 +176,6 @@ class ChiralState:
             letters = "".join(f"a[{r},{f}]" for r, f in word_letters(self.n, w)) or "|0>"
             parts.append(f"({self.terms[w]!r})*{letters}")
         return " + ".join(parts) if parts else "0"
-
-
-def apply_letter(letter, state):
-    """Module-level form; the letter's chirality must match the state's."""
-    if letter.chirality != state.chirality:
-        raise UsageError("chirality mismatch")
-    return state.apply_letter(letter.row, letter.flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +229,8 @@ def exchange_terms(field, n, x, y, cnt):
     ``cnt``.  The coefficients depend on nothing else."""
     xi, xa = divmod(x, n)           # 0-based rows/flavors
     yi, ya = divmod(y, n)
-    # i = right letter's row, j = left letter's row (1-based)
-    pij = (xi - yi) + (cnt[yi] - cnt[xi])
+    # i = right letter's row, j = left letter's row
+    pij = p_diff(cnt, yi + 1, xi + 1)
     return ((bytes((x, y)), field.q_int(pij - 1)),
             (bytes((y, x)), field.q_int(-pij)),
             (bytes((yi * n + xa, xi * n + ya)),
@@ -319,15 +290,15 @@ def _perm_data(n):
     return data
 
 
-def determinant_blocks(field, n, eps_sign):
+def determinant_blocks(field, n):
     """The n-letter blocks of an R5 row, each with its coefficient: the
     ordinary antisymmetric symbol on rows times the quantum one,
-    (-q)^{eps_sign * inversions}, on flavors."""
+    (-q)^{EPS_SIGN * inversions}, on flavors."""
     pdata = _perm_data(n)
     out = []
     for srow, rinv in pdata:
         for sflav, finv in pdata:
-            e = eps_sign * finv
+            e = EPS_SIGN * finv
             c = field.q_power(e)
             if (e + rinv) % 2:
                 c = -c
@@ -342,14 +313,13 @@ def determinant_bare(field, n, cnt):
     dq = field.one
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            # p_r = -r + cnt_r
-            dq = dq * field.q_int((j - i) + cnt[i - 1] - cnt[j - 1])
+            dq = dq * field.q_int(p_diff(cnt, i, j))
             if dq.is_zero():
                 return field.zero
     return -(field.q_factorial(n) * dq)
 
 
-def determinant_rows(field, n, h, eps_sign, lower_words):
+def determinant_rows(field, n, h, lower_words):
     """Yield R5 instances: one per (lower word, split point).
 
     Each row expands the n-letter determinant block inserted at the split
@@ -359,7 +329,7 @@ def determinant_rows(field, n, h, eps_sign, lower_words):
     A lower word ending in a row >= 2 letter yields only its last split:
     every other split keeps that ending, so its row holds dead words only.
     """
-    blocks = determinant_blocks(field, n, eps_sign)
+    blocks = determinant_blocks(field, n)
     for z in lower_words:
         L = len(z)
         for split in (L,) if z and z[-1] >= n else range(L + 1):

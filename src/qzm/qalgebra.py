@@ -25,6 +25,7 @@ from . import diagrams as dg
 from .basis import RelationInconsistency
 from .fock import EPS_SIGN, letter_code, word_letters, word_row_content
 from .scalars import UsageError
+from .weights import p_diff
 
 
 class TensorState:
@@ -316,8 +317,7 @@ def check_dynamical_commutation(ctx, coords, i, j):
             and reduced_apply_Q(ctx, j, i, coords)):
         return "vacuous"
     # p_i - p_j, which a determinant chain shift leaves alone
-    g = word_row_content(ctx.n, next(iter(coords))[0])
-    pij = (j - i) + (g[i - 1] - g[j - 1])
+    pij = p_diff(word_row_content(ctx.n, next(iter(coords))[0]), i, j)
     f, n = ctx.field, ctx.n
     lhs = TensorState(f, n, _QQ(ctx, i, i, j, j, coords)).scale(f.q_int(pij + 1))
     rhs = TensorState(f, n, _QQ(ctx, j, j, i, i, coords)).scale(f.q_int(pij - 1))

@@ -1,61 +1,19 @@
-"""Shifted su(n) weight bookkeeping.
+"""Shifted su(n) weights and the antisymmetric symbol.
 
-A weight vector stores absolute integer entries p_1..p_n; only differences
-p_j - p_l are meaningful (everything is invariant under a common shift).
-The vacuum representative has p_j = -j, so that p_diff(j, l) = l - j.
-Applying a generator with row index i increments p_i by one; the barred
-generators shift their (barred) weights the same way, so this type serves
-both chiralities.
-
-Immutable values, pure operations.
+A state made of words with row counts cnt (cnt[r - 1] letters of row r)
+has the shifted weights p_r = -r + cnt[r - 1]: the vacuum has p_r = -r,
+and each generator of row r raises p_r by one.  Only differences are
+meaningful, so a weight is never stored: ``p_diff`` reads p_i - p_j off
+the row counts.  The barred generators shift their (barred) weights the
+same way, so this serves both factors of a tensor state.
 """
 
 from __future__ import annotations
 
-from .scalars import UsageError
 
-
-class WeightVector:
-    __slots__ = ("n", "p")
-
-    def __init__(self, n, p):
-        self.n = n
-        self.p = tuple(p)
-
-    def __eq__(self, other):
-        return isinstance(other, WeightVector) and self.n == other.n and self.p == other.p
-
-    def __hash__(self):
-        return hash((self.n, self.p))
-
-    def __repr__(self):
-        return f"WeightVector{self.p}"
-
-
-def vacuum_weight(n):
-    """Vacuum weights: p_j = -j (the Weyl-vector representative)."""
-    if n < 2:
-        raise UsageError("need n >= 2")
-    return WeightVector(n, tuple(-j for j in range(1, n + 1)))
-
-
-def shift(w, i):
-    """Weight of a row-i generator applied to a state of weight w."""
-    if not 1 <= i <= w.n:
-        raise UsageError(f"row index {i} out of range 1..{w.n}")
-    p = list(w.p)
-    p[i - 1] += 1
-    return WeightVector(w.n, p)
-
-
-def p_diff(w, j, l):
-    """p_j - p_l; invariant under a common shift of all entries."""
-    return w.p[j - 1] - w.p[l - 1]
-
-
-def eval_bracket(w, j, l, offset, field):
-    """[p_jl + offset] evaluated on a state of weight w."""
-    return field.q_int(p_diff(w, j, l) + offset)
+def p_diff(cnt, i, j):
+    """p_i - p_j, 1-based rows, for the row counts ``cnt``."""
+    return (j - i) + cnt[i - 1] - cnt[j - 1]
 
 
 def epsilon(a, b):

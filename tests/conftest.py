@@ -1,13 +1,7 @@
 import pytest
 
 from qzm.basis import FockContext
-from qzm.fock import EPS_SIGN
 from qzm.scalars import GENERIC, ROOT, make_field
-
-
-@pytest.fixture(scope="session")
-def eps_sign():
-    return EPS_SIGN
 
 
 @pytest.fixture(scope="session")
@@ -21,30 +15,30 @@ def field_generic():
 
 
 @pytest.fixture(scope="session")
-def ctx21(eps_sign):
-    return FockContext(2, 1, eps_sign=eps_sign)
+def ctx21():
+    return FockContext(2, 1)
 
 
 @pytest.fixture(scope="session")
-def ctx22(eps_sign):
-    return FockContext(2, 2, eps_sign=eps_sign)
+def ctx22():
+    return FockContext(2, 2)
 
 
 @pytest.fixture(scope="session")
-def ctx31(eps_sign):
-    return FockContext(3, 1, eps_sign=eps_sign)
+def ctx31():
+    return FockContext(3, 1)
 
 
 @pytest.fixture(scope="session")
-def ctx32(eps_sign):
-    return FockContext(3, 2, eps_sign=eps_sign)
+def ctx32():
+    return FockContext(3, 2)
 
 
 @pytest.fixture(scope="session")
-def gctx2(eps_sign):
-    return FockContext(2, generic=True, eps_sign=eps_sign)
+def gctx2():
+    return FockContext(2, generic=True)
 
 
 @pytest.fixture(scope="session")
-def gctx3(eps_sign):
-    return FockContext(3, generic=True, eps_sign=eps_sign)
+def gctx3():
+    return FockContext(3, generic=True)

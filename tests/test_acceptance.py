@@ -16,7 +16,6 @@ import pytest
 from qzm import bilinears as bl, cli, diagrams as dg, qalgebra as qa
 from qzm.basis import FockContext
 from qzm.fock import ChiralState, word_is_dead
-from qzm.qalgebra import resolve_eps_sign
 from qzm.reports import strip_timing
 from qzm.scalars import ROOT, make_field
 
@@ -33,13 +32,13 @@ def record(num, ok, detail=""):
 
 
 @pytest.fixture(scope="module")
-def contexts(eps_sign):
+def contexts():
     return {
-        (2, 1): FockContext(2, 1, eps_sign=eps_sign),
-        (2, 2): FockContext(2, 2, eps_sign=eps_sign),
-        (2, 3): FockContext(2, 3, eps_sign=eps_sign),
-        (3, 1): FockContext(3, 1, eps_sign=eps_sign),
-        (3, 2): FockContext(3, 2, eps_sign=eps_sign),
+        (2, 1): FockContext(2, 1),
+        (2, 2): FockContext(2, 2),
+        (2, 3): FockContext(2, 3),
+        (3, 1): FockContext(3, 1),
+        (3, 2): FockContext(3, 2),
     }
 
 
@@ -113,7 +112,7 @@ def test_criterion_2_module_consistency(contexts, fprime_suite):
             lower = (tuple(c - 1 for c in rc), tuple(c - 1 for c in fc))
             from qzm.fock import class_words
             zs = [z for z in class_words(n, *lower)][:4]
-            for inst in determinant_rows(ctx.field, n, ctx.h, ctx.eps_sign, zs):
+            for inst in determinant_rows(ctx.field, n, ctx.h, zs):
                 st = ChiralState(ctx.field, n, terms=inst.terms)
                 if not ctx.is_zero_state(st):
                     failures.append((nk, rc, fc, "determinant"))
@@ -140,11 +139,11 @@ def test_criterion_3_n2_dimension(contexts):
     assert record(3, ok, ", ".join(detail) + f", {elapsed:.1f}s")
 
 
-def test_criterion_4_nilpotency(contexts, eps_sign):
+def test_criterion_4_nilpotency(contexts):
     t0 = time.perf_counter()
     ok = all(qa.nilpotency(contexts[nk], 1, 1)
              for nk in [(2, 1), (2, 2), (3, 1), (3, 2)])
-    gctx = FockContext(2, generic=True, eps_sign=eps_sign)
+    gctx = FockContext(2, generic=True)
     s = qa.tensor_vacuum(gctx)
     for _ in range(3):                    # h = 3 at (n, k) = (2, 1)
         s = qa.apply_Q(1, 1, s)
@@ -232,7 +231,7 @@ def test_criterion_8_diagram_combinatorics():
     assert record(8, ok, f"{elapsed:.2f}s")
 
 
-def test_criterion_9_bilinear_suite(contexts, fprime_suite, eps_sign):
+def test_criterion_9_bilinear_suite(contexts, fprime_suite):
     import random
     t0 = time.perf_counter()
     ok = True
@@ -251,8 +250,7 @@ def test_criterion_9_bilinear_suite(contexts, fprime_suite, eps_sign):
     # weight-dependent identities on 25 seeded chiral states, both modes
     for generic in (False, True):
         for n, k in [(2, 2), (3, 1)]:
-            ctx = FockContext(n, None if generic else k, generic=generic,
-                              eps_sign=eps_sign) if generic else contexts[(n, k)]
+            ctx = FockContext(n, generic=True) if generic else contexts[(n, k)]
             rng = random.Random(1)
             states = []
             while len(states) < 25:

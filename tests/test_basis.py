@@ -166,7 +166,7 @@ def eliminate_chain_rows(ctx, key):
     every live class of the chain and without sub-blocks, with every pivot
     stored, those with the empty tail included."""
     levels = chain_levels(*key)
-    columns, rows = chain_rows(ctx.field, ctx.n, ctx.h, ctx.eps_sign, key)
+    columns, rows = chain_rows(ctx.field, ctx.n, ctx.h, key)
     rref = {}
     containing = {}
     for row in rows:
@@ -184,7 +184,7 @@ def full_record(ctx, bb):
     """The block's cache record with each implicit pivot, a live rep of the
     chain that is neither a basis word nor stored, given the empty tail:
     the record of a block that stores every pivot."""
-    columns, _ = chain_rows(ctx.field, ctx.n, ctx.h, ctx.eps_sign, bb.key)
+    columns, _ = chain_rows(ctx.field, ctx.n, ctx.h, bb.key)
     assert bb.rref.keys() <= set(columns), bb.key
     rref = {w: bb.rref.get(w, ()) for w in columns if w not in bb._free}
     return _encode_block(ctx, BlockBasis(bb.key, bb.field, bb.basis_words,

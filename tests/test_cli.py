@@ -13,7 +13,6 @@ from qzm import cli
 from qzm.basis import BlockBasis, FockContext
 from qzm.cache import DiskCache, _canon_key, _decode_block, _digest
 from qzm.fock import ChiralState
-from qzm.qalgebra import resolve_eps_sign
 from qzm.reports import strip_timing
 
 
@@ -97,12 +96,10 @@ def test_csv_and_text_formats(tmp_path, capsys):
 
 def test_cache_roundtrip_and_validate(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    ctx = FockContext(2, 2, eps_sign=resolve_eps_sign(),
-                      disk_cache=DiskCache(cache_dir))
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb = ctx.block_basis((2, 1), (2, 1))
     # a fresh context must load the same data from disk
-    ctx2 = FockContext(2, 2, eps_sign=resolve_eps_sign(),
-                       disk_cache=DiskCache(cache_dir))
+    ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb2 = ctx2.block_basis((2, 1), (2, 1))
     assert ctx2.stats["blocks_loaded"] == 1
     assert bb2.basis_words == bb.basis_words
@@ -123,8 +120,7 @@ def test_cache_roundtrip_and_validate(tmp_path):
 
 def test_cache_quarantines_wrong_convention(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    ctx = FockContext(2, 1, eps_sign=resolve_eps_sign(),
-                      disk_cache=DiskCache(cache_dir))
+    ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
     ctx.block_basis((1, 1), (1, 1))
     # corrupt the convention tag
     path = _block_file(cache_dir, ctx, ((1, 1), (1, 1)))
@@ -139,8 +135,7 @@ def test_cache_quarantines_wrong_convention(tmp_path):
     assert any(r["result"] == "fail" for r in recs)
     assert any(f.endswith(".quarantined") for f in os.listdir(cache_dir))
     # a fresh context ignores the quarantined data and recomputes cleanly
-    ctx2 = FockContext(2, 1, eps_sign=resolve_eps_sign(),
-                       disk_cache=DiskCache(cache_dir))
+    ctx2 = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
     ctx2.block_basis((1, 1), (1, 1))
     # its 4 one-letter sub-blocks and the empty one load
     assert ctx2.stats["blocks_loaded"] == 5
@@ -644,13 +639,12 @@ def test_zero_test_sees_a_corrupted_block():
     ctx._wred.clear()       # reductions memoised before the change
     assert not cli._sweep_all_zero(ctx, contents)[0]
     assert not ctx.is_zero_state(state)
-    assert not ctx.is_zero_state(ctx.vacuum())
+    assert not ctx.is_zero_state(ChiralState.vacuum(ctx.field, 2))
 
 
 def test_cache_purge(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    ctx = FockContext(2, 1, eps_sign=resolve_eps_sign(),
-                      disk_cache=DiskCache(cache_dir))
+    ctx = FockContext(2, 1, disk_cache=DiskCache(cache_dir))
     ctx.block_basis((1, 0), (1, 0))
     code, report = run_cmd(["cache", "purge", "--cache-dir", cache_dir],
                            tmp_path, name="p")
@@ -668,13 +662,18 @@ def test_cache_purge(tmp_path):
     ["fprime", "--n", "17", "--k", "1"],
     ["check-w", "--n", "17", "--k", "1", "--i", "2"],
     ["verify-algebra", "--n", "17", "--k", "1"],
+    ["fprime", "--n", "2", "--k", "1", "--budget", "-3"],
+    ["enumerate", "--n", "2", "--k", "1", "--out", "{tmp}/missing/r.json"],
+    ["enumerate", "--n", "2", "--k", "1", "--out", "{tmp}"],
+    ["cache", "list"],
 ], ids=["n1", "k0", "check_w_n2", "check_w_i5", "samples0", "samples_neg",
-        "fprime_n17", "check_w_n17", "verify_algebra_n17"])
+        "fprime_n17", "check_w_n17", "verify_algebra_n17", "budget_neg",
+        "out_dir_missing", "out_is_dir", "cache_dir_missing"])
 def test_out_of_range_input_is_a_usage_error(argv, tmp_path, capsys):
-    """Exit status 2 with a usage message; 1 is kept for a failed
-    documented claim."""
+    """Exit status 2 with a usage message, before any work runs; 1 is kept
+    for a failed documented claim."""
     with pytest.raises(SystemExit) as exc:
-        run_cmd(argv, tmp_path)
+        cli.run([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
 

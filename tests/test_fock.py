@@ -13,11 +13,11 @@ import pytest
 
 from qzm import fock
 from qzm.basis import FockContext, class_size, quotient_basis
-from qzm.fock import (BARRED, ChiralState, Letter, UNBARRED, apply_letter,
-                      class_words, word_from_letters, word_is_dead,
-                      word_row_content, word_sort_key, word_weight)
+from qzm.fock import (ChiralState, class_words, word_from_letters,
+                      word_is_dead, word_row_content, word_sort_key)
+from qzm.qalgebra import apply_Q, tensor_vacuum
 from qzm.scalars import UsageError
-from qzm.weights import p_diff, vacuum_weight
+from qzm.weights import p_diff
 
 
 # ---------------------------------------------------------------------------
@@ -26,13 +26,12 @@ from qzm.weights import p_diff, vacuum_weight
 
 def test_word_weight_counts_rows():
     w = word_from_letters(2, [(1, 1), (1, 2)])
-    assert word_weight(2, w).p == (1, -2)
-    assert p_diff(word_weight(2, w), 1, 2) == 3
-    assert word_weight(3, b"") == vacuum_weight(3)
+    assert word_row_content(2, w) == (2, 0)
+    assert p_diff(word_row_content(2, w), 1, 2) == 3
+    assert p_diff(word_row_content(2, b""), 1, 2) == 1
     # one letter of each row leaves the differences at vacuum values
-    w = word_from_letters(3, [(3, 1), (1, 2), (2, 2)])
-    ww = word_weight(3, w)
-    vac = vacuum_weight(3)
+    ww = word_row_content(3, word_from_letters(3, [(3, 1), (1, 2), (2, 2)]))
+    vac = word_row_content(3, b"")
     for j in (1, 2, 3):
         for l in (1, 2, 3):
             assert p_diff(ww, j, l) == p_diff(vac, j, l)
@@ -71,16 +70,14 @@ def test_class_words_match_sorted_permutations(n, rc, fc):
 
 
 def test_apply_letter(ctx21):
-    vac = ctx21.vacuum()
-    s = apply_letter(Letter(UNBARRED, 1, 1), vac)
+    vac = ChiralState.vacuum(ctx21.field, 2)
+    s = vac.apply_letter(1, 1)
     assert list(s.terms) == [word_from_letters(2, [(1, 1)])]
-    with pytest.raises(UsageError):
-        apply_letter(Letter(BARRED, 1, 1), vac)
     # linearity and the weight shift of the new letter
     two = s + s
     assert list(two.terms.values())[0] == ctx21.field.from_int(2)
-    from qzm.weights import shift
-    assert word_weight(2, list(s.terms)[0]) == shift(vacuum_weight(2), 1)
+    cnt = word_row_content(2, list(s.terms)[0])
+    assert p_diff(cnt, 1, 2) == p_diff(word_row_content(2, b""), 1, 2) + 1
 
 
 def test_state_canonical_form(ctx21):
@@ -151,17 +148,17 @@ def test_instance_generation_is_content_homogeneous(ctx31):
 
 def test_barred_templates_equal_unbarred():
     """The barred relations coincide with the unbarred ones in (row, flavor)
-    terms, which is why block bases are shared between chiralities."""
-    ctx = FockContext(3, 1, eps_sign=-1)
-    # realized here as: instances depend only on letter codes, and barred
-    # letters use the same (row, flavor) codes; spot-check the annihilation
-    # and weight bookkeeping agree through the shared machinery
-    vac_u = ctx.vacuum(UNBARRED)
-    vac_b = ctx.vacuum(BARRED)
-    su = vac_u.apply_letter(2, 1)
-    sb = vac_b.apply_letter(2, 1)
-    assert list(su.terms) == list(sb.terms)
-    assert ctx.is_zero_state(su) and ctx.is_zero_state(sb)
+    terms, which is why both factors of a tensor state share block bases."""
+    ctx = FockContext(3, 1)
+    # realized here as: instances depend only on letter codes, and a barred
+    # word, the second factor of a tensor state, uses the same (row, flavor)
+    # codes; spot-check that the annihilation agrees on both factors
+    pairs = apply_Q(2, 2, tensor_vacuum(ctx)).terms
+    assert len(pairs) == 3
+    for w, wb in pairs:
+        assert w == wb
+        assert ctx.is_zero_state(ChiralState(ctx.field, 3,
+                                             terms={w: ctx.field.one}))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +181,9 @@ def test_h_power_word_reduces_to_zero(ctx22):
 
 def test_annihilation(ctx21):
     for flavor in (1, 2):
-        s = ctx21.vacuum().apply_letter(2, flavor)
+        s = ChiralState.vacuum(ctx21.field, 2).apply_letter(2, flavor)
         assert ctx21.is_zero_state(s)
-    assert not ctx21.is_zero_state(ctx21.vacuum())
+    assert not ctx21.is_zero_state(ChiralState.vacuum(ctx21.field, 2))
 
 
 def test_reduce_idempotent_and_graded(ctx22):
@@ -319,8 +316,8 @@ def test_reduction_coordinates_match_dense(ctx22):
         assert ctx22.is_zero_state(s - red)
 
 
-def test_budget_enforced(eps_sign):
-    tiny = FockContext(3, 2, eps_sign=eps_sign, budget=10)
+def test_budget_enforced():
+    tiny = FockContext(3, 2, budget=10)
     from qzm.basis import BudgetExceeded
     with pytest.raises(BudgetExceeded):
         tiny.block_basis((2, 2, 1), (2, 2, 1))

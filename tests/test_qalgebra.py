@@ -3,7 +3,7 @@ import io
 
 import pytest
 
-from qzm import cli, qalgebra as qa
+from qzm import cli, fock, qalgebra as qa
 from qzm.basis import FockContext, RelationInconsistency
 from qzm.diagrams import YoungDiagram, enumerate_diagrams
 from qzm.fock import EPS_SIGN, eps_tag, word_row_content
@@ -162,32 +162,33 @@ def test_hook_vanishing(ctx31, ctx32):
 
 def test_eps_resolution():
     assert EPS_SIGN == -1 and qa.resolve_eps_sign() == EPS_SIGN
-    assert eps_tag(EPS_SIGN) == "qeps-1"
-    assert FockContext(3, 1).eps_sign == EPS_SIGN
+    assert eps_tag() == "qeps-1"
 
 
 @pytest.mark.parametrize("sign", [-1, 1])
-def test_both_eps_signs_pass_calibration(sign):
+def test_both_eps_signs_pass_calibration(sign, monkeypatch):
     """Both signs are consistent conventions (q <-> q^{-1} mirrors)."""
-    ctx = FockContext(2, 1, eps_sign=sign)
+    monkeypatch.setattr(fock, "EPS_SIGN", sign)
+    ctx = FockContext(2, 1)
     ctx.block_basis((1, 1), (1, 1))          # the vacuum class survives
     res = qa.fprime_dimension(ctx)
     assert res.dimension == 3 and all(r.nonzero for r in res.records)
-    ctx3 = FockContext(3, 1, eps_sign=sign)
+    ctx3 = FockContext(3, 1)
     ctx3.block_basis((1, 1, 1), (1, 1, 1))
     assert qa.check_offdiagonal_annihilation(ctx3, YoungDiagram(3, (1,)))
     out = qa.check_growth(ctx3, YoungDiagram(3, (1, 1)), 3)
     assert out.kind != qa.GROWTH_OUTSIDE
 
 
-def test_eps_sign_keeps_integral_structure_constants():
+def test_eps_sign_keeps_integral_structure_constants(monkeypatch):
     """Over the full growth scans, EPS_SIGN leaves every echelon tail in
     Z[q]; the mirror sign does not (all 40 class-coordinate tails at (2,3)
     and 225 of 691 at (3,1) carry a denominator)."""
     for n, k in ((2, 3), (3, 1)):
         dens = {}
         for sign in (-1, 1):
-            ctx = FockContext(n, k, eps_sign=sign)
+            monkeypatch.setattr(fock, "EPS_SIGN", sign)
+            ctx = FockContext(n, k)
             for y in enumerate_diagrams(n, ctx.h):
                 for j in range(1, n + 1):
                     qa.check_growth(ctx, y, j)

@@ -2,60 +2,69 @@ import random
 
 import pytest
 
+from qzm.basis import FockContext
 from qzm.scalars import ROOT, UsageError, make_field
-from qzm.weights import (epsilon, eval_bracket, p_diff, shift, vacuum_weight)
+from qzm.weights import epsilon, p_diff
+
+
+def add_letter(cnt, i):
+    """The row counts after one more letter of row i."""
+    return cnt[:i - 1] + (cnt[i - 1] + 1,) + cnt[i:]
 
 
 def test_vacuum_values():
-    w = vacuum_weight(2)
-    assert w.p == (-1, -2)
-    assert p_diff(w, 1, 2) == 1
-    w3 = vacuum_weight(3)
-    assert p_diff(w3, 1, 3) == 2
-    assert p_diff(w3, 2, 2) == 0
+    # the vacuum has no letters: p_j = -j
+    assert p_diff((0, 0), 1, 2) == 1
+    assert p_diff((0, 0, 0), 1, 3) == 2
+    assert p_diff((0, 0, 0), 2, 2) == 0
+    assert p_diff((0, 0, 0), 3, 1) == -2
 
 
 def test_vacuum_rejects_small_n():
     with pytest.raises(UsageError):
-        vacuum_weight(1)
+        FockContext(1, 1)
 
 
 def test_shift_semantics():
-    w = shift(vacuum_weight(3), 1)
-    assert p_diff(w, 1, 2) == 2
-    # repeated shifts in the first row track the highest-weight label
-    w = vacuum_weight(3)
+    vac = (0, 0, 0)
+    # a row-i letter raises p_i by one and leaves the other entries alone
+    for i in (1, 2, 3):
+        cnt = add_letter(vac, i)
+        for j in (1, 2, 3):
+            for l in (1, 2, 3):
+                assert p_diff(cnt, j, l) == (p_diff(vac, j, l) + (j == i)
+                                             - (l == i))
+    assert p_diff(add_letter(vac, 1), 1, 2) == 2
+    # repeated letters in the first row track the highest-weight label
+    cnt = vac
     for _ in range(5):
-        w = shift(w, 1)
-    assert p_diff(w, 1, 2) == 6
-    # shifts in different rows commute
-    a = shift(shift(vacuum_weight(3), 2), 1)
-    b = shift(shift(vacuum_weight(3), 1), 2)
-    assert a == b
-    with pytest.raises(UsageError):
-        shift(vacuum_weight(3), 4)
+        cnt = add_letter(cnt, 1)
+    assert p_diff(cnt, 1, 2) == 6
+    # letters in different rows commute
+    assert add_letter(add_letter(vac, 2), 1) == add_letter(add_letter(vac, 1), 2)
 
 
 def test_eval_bracket():
     f = make_field(ROOT, 4)
-    w = vacuum_weight(3)
-    assert eval_bracket(w, 2, 1, 0, f) == -f.one          # [-1]
-    assert eval_bracket(w, 2, 2, 0, f).is_zero()          # [0]
-    # h-2 first-row shifts bring [p_21 - 1] to [-h] = 0
+    cnt = (0, 0, 0)
+    assert f.q_int(p_diff(cnt, 2, 1)) == -f.one          # [-1]
+    assert f.q_int(p_diff(cnt, 2, 2)).is_zero()          # [0]
+    # h-2 first-row letters bring [p_21 - 1] to [-h] = 0
     h = 4
     for _ in range(h - 2):
-        w = shift(w, 1)
-    assert p_diff(w, 2, 1) == 1 - h
-    assert eval_bracket(w, 2, 1, -1, f).is_zero()
+        cnt = add_letter(cnt, 1)
+    assert p_diff(cnt, 2, 1) == 1 - h
+    assert f.q_int(p_diff(cnt, 2, 1) - 1).is_zero()
 
 
 def test_bracket_invariant_under_global_shift():
     f = make_field(ROOT, 5)
-    w = vacuum_weight(3)
-    shifted = type(w)(3, tuple(p + 7 for p in w.p))
+    cnt = (0, 0, 0)
+    shifted = tuple(c + 7 for c in cnt)
     for j in (1, 2, 3):
         for l in (1, 2, 3):
-            assert eval_bracket(w, j, l, 1, f) == eval_bracket(shifted, j, l, 1, f)
+            assert (f.q_int(p_diff(cnt, j, l) + 1)
+                    == f.q_int(p_diff(shifted, j, l) + 1))
 
 
 def test_weight_periodicity_at_root():
