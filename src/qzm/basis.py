@@ -31,6 +31,7 @@ in (row, flavor) terms, so they reduce through the same blocks.
 from __future__ import annotations
 
 import weakref
+from functools import lru_cache
 from itertools import chain
 from math import factorial
 
@@ -252,14 +253,21 @@ def live_count(n, h, row_content, flavor_content, memo):
 def _live_tails(n, h, rc, fc, last, run, memo):
     """The words t of content (rc, fc) that leave w t live, for any w ending
     in ``run`` copies of letter ``last`` (-1: w is empty): w t ends in a
-    row-1 letter and has no h equal letters in a row.  A dynamic program
-    over (content, last letter, run length)."""
+    row-1 letter and has no h equal letters in a row.
+
+    A letter (i, a) occurs at most min(rc[i], fc[a]) times in t, so no run
+    reaches h when max(rc) < h or max(fc) < h and the run of ``last`` plus
+    its copies in t stays below h.  The count is then closed-form: a share
+    rc[0]/N of the row sequences ends in row 1, and the flavor sequence is
+    free.  This always holds in generic mode, and in root mode in the blocks
+    of admissible diagrams, whose rows the spread restriction keeps below h
+    boxes.  Only where R4 can apply does a dynamic program over (content,
+    last letter, run length) count, memoised in ``memo``."""
     N = sum(rc)
     if not N:
         return int(last < n)
-    if h is None or N + run < h:
-        # no run can reach h, and a share rc[0]/N of the row sequences
-        # ends in row 1
+    if h is None or (max(rc) < h or max(fc) < h) and (
+            last < 0 or run + min(rc[last // n], fc[last % n]) < h):
         return class_size(rc, fc) * rc[0] // N
     state = (rc, fc, last, run)
     out = memo.get(state)
@@ -274,6 +282,19 @@ def _live_tails(n, h, rc, fc, last, run, memo):
                                    b, r, memo)
         memo[state] = out
     return out
+
+
+@lru_cache(maxsize=None)
+def _commute_table(n, a):
+    """The ``bytes.translate`` table that maps a letter d to 0 if it
+    commutes with a and is larger, 1 if it does not commute, and 2 if it
+    commutes and is smaller; the letters that commute with a share exactly
+    one of its row and flavor."""
+    ai, af = divmod(a, n)
+    t = bytearray(b"\1") * 256
+    for d in {ai * n + f for f in range(n)} ^ {r * n + af for r in range(n)}:
+        t[d] = 2 * (d < a)
+    return bytes(t)
 
 
 def build_block(ctx, row_content, flavor_content):
@@ -355,7 +376,7 @@ def build_block(ctx, row_content, flavor_content):
 
     def rows():
         """The relation rows, each a list of terms (w, c)."""
-        neg_q = {e: -field.q_power(e) for e in (-1, 0, 1)}
+        neg_q = ctx._neg_q
         for x, sx in subs.items():
             xi, xa = divmod(x, n)
             for y in subs:
@@ -390,20 +411,14 @@ def build_block(ctx, row_content, flavor_content):
 
     columns = [b""] if empty else []
     for a, sb in subs.items() if len(rref) < target else ():
-        ai, af = divmod(a, n)
         run = bytes((a,)) * (h - 1) if h else None
-        # letter d -> 0 if it commutes with a and is larger, 1 if it does
-        # not commute, 2 if it commutes and is smaller; the letters that
-        # commute with a share exactly one of its row and flavor
-        t = bytearray(b"\1") * 256
-        for d in {ai * n + f for f in range(n)} ^ {r * n + af for r in range(n)}:
-            t[d] = 2 * (d < a)
+        t = _commute_table(n, a)
         columns += [bytes((a,)) + w for w in chain(sb.basis_words, sb.rref)
                     if (w or a < n) and not (run and w.startswith(run))
                     and w.translate(t).lstrip(b"\0")[:1] != b"\2"]
     columns.sort(key=word_sort_key)
     basis, tails = [], {}   # free columns, and pivot -> nonempty tail
-    minus_one = -one
+    minus_one = field.minus_one
     for j in range(len(columns) - 1, -1, -1):
         w = columns[j]
         if w:       # a w maps to a (x) w's tail in subs[a]
@@ -472,6 +487,8 @@ class FockContext:
         self._wred = {}
         self._classes = {}      # class_rep's memo for reduce_word
         self._live = {}         # live_count's memo for build_block
+        # the R2/R3 swap units -q^e, e = eps(x, y)
+        self._neg_q = {e: -self.field.q_power(e) for e in (-1, 0, 1)}
         self._diagrams = {}     # qalgebra.diagram_coordinates, by parts
         self.stats = {"blocks_built": 0, "max_block_words": 0,
                       "blocks_loaded": 0}

@@ -509,6 +509,9 @@ def _check_ranges(parser, cfg):
             parser.error(f"--{name} must be at least {low}")
     if cfg.command == "cache" and not cfg.cache_dir:
         parser.error("the cache command needs --cache-dir")
+    # a listing reads an existing cache; only compute commands create one
+    if cfg.command == "cache" and not os.path.isdir(cfg.cache_dir):
+        parser.error(f"--cache-dir {cfg.cache_dir}: no such directory")
     if cfg.out and (os.path.isdir(cfg.out)
                     or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
         parser.error(f"--out {cfg.out}: not a file in an existing directory")

@@ -71,11 +71,12 @@ def apply_Q(i, j, state):
     n = state.n
     if not (1 <= i <= n and 1 <= j <= n):
         raise UsageError(f"Q indices ({i},{j}) out of range 1..{n}")
+    pairs = [(bytes((letter_code(n, i, al),)), bytes((letter_code(n, j, al),)))
+             for al in range(1, n + 1)]
     out = {}
     for (w, wb), c in state.terms.items():
-        for al in range(1, n + 1):
-            key = (bytes([letter_code(n, i, al)]) + w,
-                   bytes([letter_code(n, j, al)]) + wb)
+        for x, xb in pairs:
+            key = (x + w, xb + wb)
             v = out.get(key)
             out[key] = c if v is None else v + c
     return TensorState(state.field, n, out)

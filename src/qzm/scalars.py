@@ -21,7 +21,8 @@ immutable values.  A field spec is immutable apart from its memo: each field
 remembers the results of recent ``*``, ``+`` and ``invert`` calls, keyed by
 the operands' canonical (num, den) tuples (in either operand order for the
 commutative ``*`` and ``+``), because elimination repeats the same few
-products of q-integers and units.  Each memo table holds at most
+products of q-integers and units; a product with the field's own ``one``
+returns the other operand and skips the memo.  Each memo table holds at most
 ``MEMO_SIZE`` entries, evicts its oldest entry first, and is emptied by
 ``FieldSpec.clear_memo`` (a ``FockContext`` calls it when it is released).
 The memo makes a field unsafe to share between threads.
@@ -37,6 +38,7 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import neg
 
 ROOT = "root"
 GENERIC = "generic"
@@ -391,6 +393,10 @@ class _Scalar:
         fs = self.fs
         if fs is not other.fs and fs != other.fs:
             raise UsageError("scalars from different fields")
+        if other is fs.one:
+            return self
+        if self is fs.one:
+            return other
         key = _pair_key(self, other)
         s = fs._mul.get(key)
         if s is None:
@@ -538,7 +544,7 @@ class RootScalar(_Scalar):
         return " + ".join(terms) if terms else "0"
 
     def __neg__(self):
-        return RootScalar(self.fs, tuple(-x for x in self.num), self.den)
+        return RootScalar(self.fs, tuple(map(neg, self.num)), self.den)
 
     def encode(self):
         return [f"{Fraction(c, self.den)}" for c in self.num]

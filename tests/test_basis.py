@@ -516,6 +516,23 @@ def test_live_count_matches_brute_force():
                             (n, h, rc, fc)
 
 
+def test_fprime_live_counts_are_closed_form(monkeypatch):
+    """No letter of a fprime (3,1) block can occur h times, so every build
+    counts its live words in closed form and leaves the memo empty."""
+    ctx = fprime_context(monkeypatch, 3, 1)
+    assert ctx._blocks and not ctx._live
+
+
+def test_live_count_runs_its_program_when_a_letter_can_reach_h():
+    """At n = 2, h = 3 the letter (1, 1) can occur 3 times in the content
+    ((3, 1), (3, 1)): the count fills the memo and matches brute force."""
+    n, h, rc, fc = 2, 3, (3, 1), (3, 1)
+    memo = {}
+    live = sum(not word_is_dead(n, h, w) for w in class_words(n, rc, fc))
+    assert live_count(n, h, rc, fc, memo) == live
+    assert memo
+
+
 def test_largest_33_chain_without_words():
     """The chain of the largest block of the (3,3) scan, at h = 6: its
     columns and live words come from the rep search and live_count, with

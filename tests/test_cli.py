@@ -666,16 +666,22 @@ def test_cache_purge(tmp_path):
     ["enumerate", "--n", "2", "--k", "1", "--out", "{tmp}/missing/r.json"],
     ["enumerate", "--n", "2", "--k", "1", "--out", "{tmp}"],
     ["cache", "list"],
+    ["cache", "list", "--cache-dir", "{tmp}/nodir/sub"],
+    ["cache", "validate", "--cache-dir", "{tmp}/nodir/sub"],
+    ["cache", "purge", "--cache-dir", "{tmp}/nodir/sub"],
 ], ids=["n1", "k0", "check_w_n2", "check_w_i5", "samples0", "samples_neg",
         "fprime_n17", "check_w_n17", "verify_algebra_n17", "budget_neg",
-        "out_dir_missing", "out_is_dir", "cache_dir_missing"])
+        "out_dir_missing", "out_is_dir", "cache_dir_missing",
+        "cache_dir_absent_list", "cache_dir_absent_validate",
+        "cache_dir_absent_purge"])
 def test_out_of_range_input_is_a_usage_error(argv, tmp_path, capsys):
     """Exit status 2 with a usage message, before any work runs; 1 is kept
-    for a failed documented claim."""
+    for a failed documented claim.  A cache listing creates no directory."""
     with pytest.raises(SystemExit) as exc:
         cli.run([a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "nodir")
 
 
 def test_generic_check_w_keeps_its_skipped_record(tmp_path):

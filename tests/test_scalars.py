@@ -283,6 +283,24 @@ def test_memo_keeps_fields_apart():
             x + y
 
 
+@pytest.mark.parametrize("h", [5, None])
+def test_products_with_one_skip_the_memo(h):
+    """x * one and one * x are x itself, with no memo entry; a product with
+    another field's one still raises, and -x is x * minus_one."""
+    f = make_field(GENERIC) if h is None else make_field(ROOT, h)
+    x = f.q_int(3) + f.q_power(1)
+    products = len(f._mul)
+    assert x * f.one is x and f.one * x is x
+    assert len(f._mul) == products
+    for g in (make_field(ROOT, 4), make_field(ROOT, 5), make_field(GENERIC)):
+        if g != f:
+            with pytest.raises(UsageError):
+                x * g.one
+            with pytest.raises(UsageError):
+                g.one * x
+    assert -x == x * f.minus_one and -x != x
+
+
 @pytest.mark.parametrize("mode", [ROOT, GENERIC])
 def test_memo_tables_stay_bounded(mode):
     f = make_field(mode, 7 if mode == ROOT else None)
