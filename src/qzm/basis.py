@@ -5,16 +5,15 @@ preserves both except the determinant, which links a class to the one with
 one letter of each row and flavor removed.  A *block* is such a class
 together with its determinant-linked descendants, its chain.
 
-The columns of a block are commutation classes, not words.  R2 (rows
-differ, same flavor) and R3 (same row, flavors differ) make the words of
-one content a partially commutative (trace) monoid: every word is a unit
-q^E times its class's representative, and ``class_rep`` computes both in
-closed form, so each live class is one column, named by its rep, and a
-block keeps only its basis words and each nonempty pivot tail over them.  A
-class dies with any of its words that ``word_is_dead`` kills (R4, R6).  A
-block is built from its one-letter sub-blocks, with no word listed
-(``build_block``); the certificate for a record built elsewhere is in
-qzm.certificate.
+R2 (rows differ, same flavor) and R3 (same row, flavors differ) make the
+words of one content a partially commutative (trace) monoid: every word is
+a unit q^E times its class's representative, which ``class_rep`` computes
+in closed form.  A class dies with any of its words that ``word_is_dead``
+kills (R4, R6).  A block is built from its one-letter sub-blocks, with no
+word listed: it is the reduced echelon form of its relation rows over A,
+the letters times the sub-blocks' basis words (``build_block``), and a word
+reduces through its rep.  The certificate for a block built elsewhere is
+in qzm.certificate.
 
 The word order eliminates longer words toward shorter ones (so determinant
 chains rewrite downward and the vacuum stays a basis word); within one
@@ -31,8 +30,6 @@ in (row, flavor) terms, so they reduce through the same blocks.
 from __future__ import annotations
 
 import weakref
-from functools import lru_cache
-from itertools import chain
 from math import factorial
 
 from .fock import (ChiralState, class_words, determinant_blocks,
@@ -209,38 +206,65 @@ def class_rep(n, w, memo=None):
 class BlockBasis:
     """Reduction data for one (row content, flavor content) block chain.
 
-    Its columns are the live commutation classes, named by their reps; a
-    word finds its rep through ``class_rep``, so no per-word map is kept.
-    ``basis_words`` are the free reps and ``rref`` maps each other rep, a
-    pivot, to its tail when that is nonempty: a tuple of (basis word,
-    Scalar) meaning the pivot's reduction.  Both are in column order
-    (``word_sort_key``), and so is each tail.  ``live_words`` counts the
-    words that are not ``word_is_dead``, dead classes included.
+    ``subs`` maps each letter a of the content to the block of chain(c - a),
+    and ``words`` are the coordinate words of A in ``word_sort_key`` order:
+    a beta for each basis word beta of subs[a], and the vacuum when the
+    chain reaches the empty content.  ``rref`` is the relation rows'
+    reduced echelon form over A: each pivot coordinate maps to its tail
+    {free coordinate: Scalar}, meaning the pivot's reduction, empty when
+    that is zero.  The free coordinates are the ``basis_words``.
+    ``live_words`` counts the words that are not ``word_is_dead``, dead
+    classes included.
     """
 
-    __slots__ = ("key", "field", "basis_words", "rref", "total_words",
-                 "live_words", "dim", "_free")
+    __slots__ = ("key", "field", "subs", "words", "rref", "basis_words",
+                 "total_words", "live_words", "dim", "_index", "_red")
 
-    def __init__(self, key, field, basis_words, rref, total_words, live_words):
+    def __init__(self, key, field, subs, words, rref, total_words, live_words):
         self.key = key
         self.field = field
-        self.basis_words = basis_words
+        self.subs = subs
+        self.words = words
         self.rref = rref
+        self.basis_words = [w for j, w in enumerate(words) if j not in rref]
         self.total_words = total_words
         self.live_words = live_words
-        self.dim = len(basis_words)
-        self._free = {w: ((w, None),) for w in basis_words}
+        self.dim = len(self.basis_words)
+        self._index = {w: j for j, w in enumerate(words)}
+        self._red = {}      # class rep -> its reduction
 
     def reduce_word(self, w, memo=None):
-        """The word as a combination of basis words: tuple of (word, Scalar),
-        a None scalar meaning one; () for a word of a dead class or of a
-        pivot that reduces to zero.  ``memo`` is passed to ``class_rep``."""
+        """The word as a combination of basis words: a tuple of (word,
+        Scalar) in ``word_sort_key`` order, () when it is zero.  Its rep
+        a v maps to a (x) ``subs[a].reduce_word(v)``, which reduces through
+        ``rref``; reps are memoised per block.  ``memo`` is passed to
+        ``class_rep``."""
         rep, e = class_rep(len(self.key[0]), w, memo)
-        red = self.rref.get(rep) or self._free.get(rep, ())
+        red = self._red.get(rep)
+        if red is None:
+            row = _reduce_row(_image(self.subs, self._index,
+                                     ((rep, self.field.one),), memo), self.rref)
+            words = self.words
+            red = self._red[rep] = tuple([(words[j], s)
+                                          for j, s in sorted(row.items())])
         if e and red:
             unit = self.field.q_power(e)
-            red = tuple((t, unit if s is None else s * unit) for t, s in red)
+            red = tuple([(t, s * unit) for t, s in red])
         return red
+
+
+def _image(subs, index, terms, memo):
+    """The sum of c * w over the terms (w, c) in A's coordinates, which
+    ``index`` numbers: a w is a (x) ``subs[a].reduce_word(w)``, and the
+    vacuum its own coordinate."""
+    row = {}
+    for w, c in terms:
+        for j, cs in ([(index[w[:1] + t], c * s)
+                       for t, s in subs[w[0]].reduce_word(w[1:], memo)]
+                      if w else [(index[w], c)]):
+            v = row.get(j)
+            row[j] = cs if v is None else v + cs
+    return {j: c for j, c in row.items() if not c.is_zero()}
 
 
 def live_count(n, h, row_content, flavor_content, memo):
@@ -284,17 +308,27 @@ def _live_tails(n, h, rc, fc, last, run, memo):
     return out
 
 
-@lru_cache(maxsize=None)
-def _commute_table(n, a):
-    """The ``bytes.translate`` table that maps a letter d to 0 if it
-    commutes with a and is larger, 1 if it does not commute, and 2 if it
-    commutes and is smaller; the letters that commute with a share exactly
-    one of its row and flavor."""
-    ai, af = divmod(a, n)
-    t = bytearray(b"\1") * 256
-    for d in {ai * n + f for f in range(n)} ^ {r * n + af for r in range(n)}:
-        t[d] = 2 * (d < a)
-    return bytes(t)
+def _sub_block(ctx, content, a, times=1):
+    """The block of the content less ``times`` letters a, or None."""
+    (r, f), (i, b) = content, divmod(a, ctx.n)
+    if min(r[i], f[b]) < times:
+        return None
+    content = (r[:i] + (r[i] - times,) + r[i + 1:],
+               f[:b] + (f[b] - times,) + f[b + 1:])
+    return ctx._blocks.get(content) or ctx.block_basis(*content)
+
+
+def block_coordinates(ctx, key):
+    """(subs, words) of the block chain ``key``, as ``BlockBasis`` keeps
+    them: the sub-blocks, got through ``ctx.block_basis``, and A's
+    coordinate words in ``word_sort_key`` order."""
+    subs = {a: sb for a in range(ctx.n * ctx.n)
+            if (sb := _sub_block(ctx, key, a))}
+    words = [bytes((a,)) + w for a, sb in subs.items() for w in sb.basis_words]
+    if not sum(chain_levels(*key)[-1][0]):
+        words.append(b"")
+    words.sort(key=word_sort_key)
+    return subs, words
 
 
 def build_block(ctx, row_content, flavor_content):
@@ -325,54 +359,26 @@ def build_block(ctx, row_content, flavor_content):
                 times beta, in chain(levels[1])
       R6        the letter x of row >= 2, when chain(c - x) holds the vacuum
 
-    A term x w maps to x (x) ``block(c - x).reduce_word(w)``.  The columns,
-    the live class reps, are the words a w, w a column of chain(c - a),
-    such that every letter of the longest prefix of w that commutes with a
-    is larger than a (see ``class_rep``); a w maps to a (x) w's tail.  From
-    the last column to the first, a column is free when its image is
-    independent, modulo the rows, of the later free columns' images, and
-    its tail is otherwise the unique combination of those: the reduced
-    echelon form that all relation instances give in this column order.
-    One elimination, with a coordinate per column beside A_c's, finds both.
-    Only nonempty tails are kept, so a w is not listed when w is a pivot
-    with the empty tail: its image is zero, and no other row reaches it.
+    A term x w maps to x (x) ``block(c - x).reduce_word(w)``.  A's
+    coordinate words are ordered by ``word_sort_key``, and each row goes in
+    with its least coordinate as pivot.  The free coordinates are the
+    basis words: each basis word is some a beta (a v with v a pivot of its
+    sub-block reduces to later words, so it is never free), and a pivot
+    word reduces to later basis words, so it is a pivot over A too.  So
+    this is the reduced echelon form that all relation instances give over
+    all words, read on A.  R4 and R6 are needed here: they alone kill the
+    coordinates a beta whose words are dead.  Of the 284 blocks up to 8
+    letters at (n, k) = (2, 1), 61 kept a dead coordinate free without R4,
+    ((3, 0), (3, 0)) among them, and 58 without R6, ((0, 1), (0, 1)) first.
 
-    The rows stop once every coordinate a row or column can reach is a
-    pivot (the vacuum's only when the chain reaches the empty content): the
-    fully reduced tails then hold nothing, the quotient is zero, and no
-    column is listed but the vacuum, whose scan finds it collapsed.
+    The rows stop once every coordinate is a pivot: the fully reduced
+    tails then hold nothing and the quotient is zero.
     """
     key = (tuple(row_content), tuple(flavor_content))
     field, n, h, one = ctx.field, ctx.n, ctx.h, ctx.field.one
     levels = chain_levels(*key)
-
-    def sub_block(content, a, times=1):
-        """The block of the content less ``times`` letters a, or None."""
-        (r, f), (i, b) = content, divmod(a, n)
-        content = (r[:i] + (r[i] - times,) + r[i + 1:],
-                   f[:b] + (f[b] - times,) + f[b + 1:])
-        return None if min(r[i], f[b]) < times else (
-            ctx._blocks.get(content) or ctx.block_basis(*content))
-
-    subs = {a: sb for a in range(n * n) if (sb := sub_block(key, a))}
-    coords = {}         # letter a -> {basis word of subs[a]: coordinate}
-    size = 1            # coordinate 0 is the vacuum
-    for a, sb in subs.items():
-        coords[a] = {w: size + i for i, w in enumerate(sb.basis_words)}
-        size += sb.dim
-    empty = not sum(levels[-1][0])      # the chain reaches the empty content
-    target = size - 1 + empty           # the coordinates rows can reach
-
-    def image(terms):
-        """The sum of c * w over the terms (w, c), in A_c's coordinates."""
-        row = {}
-        for w, c in terms:
-            for j, s in ([(coords[w[0]][bw], s) for bw, s in
-                          subs[w[0]].reduce_word(w[1:], memo)]
-                         if w else [(0, None)]):
-                cs = c if s is None else c * s
-                row[j] = row[j] + cs if j in row else cs
-        return {j: c for j, c in row.items() if not c.is_zero()}
+    subs, words = block_coordinates(ctx, key)
+    index = {w: j for j, w in enumerate(words)}
 
     def rows():
         """The relation rows, each a list of terms (w, c)."""
@@ -383,17 +389,17 @@ def build_block(ctx, row_content, flavor_content):
                 yi, ya = divmod(y, n)
                 swap = xi == yi or xa == ya
                 if y == x or swap and y < x or not (
-                        sub := sub_block(sx.key, y)) or not sub.dim:
+                        sub := _sub_block(ctx, sx.key, y)) or not sub.dim:
                     continue
                 pairs = (exchange_terms(field, n, x, y, sub.key[0]) if not swap
                          else ((bytes((x, y)), one),
                                (bytes((y, x)), neg_q[epsilon(xa, ya)])))
                 for beta in sub.basis_words:
                     yield [(p + beta, c) for p, c in pairs]
-            sub = sub_block(key, x, h) if h else None
+            sub = _sub_block(ctx, key, x, h) if h else None
             for beta in sub.basis_words if sub else ():
                 yield [(bytes((x,)) * h + beta, one)]
-            if x >= n and b"" in sx._free:
+            if x >= n and sx.basis_words[-1:] == [b""]:
                 yield [(bytes((x,)), one)]
         lower = ctx.block_basis(*levels[1]) if len(levels) > 1 else None
         if lower and lower.dim:
@@ -403,44 +409,18 @@ def build_block(ctx, row_content, flavor_content):
                 yield [(b + beta, c) for b, c in blocks] + [(beta, bare)]
 
     rref, containing, memo = {}, {}, {}     # memo: class_rep's, per build
-    for terms in rows() if target else ():
-        if row := image(terms):
+    for terms in rows() if words else ():
+        if row := _image(subs, index, terms, memo):
             _insert_row(row, rref, containing)
-            if len(rref) == target:
+            if len(rref) == len(words):
                 break
-
-    columns = [b""] if empty else []
-    for a, sb in subs.items() if len(rref) < target else ():
-        run = bytes((a,)) * (h - 1) if h else None
-        t = _commute_table(n, a)
-        columns += [bytes((a,)) + w for w in chain(sb.basis_words, sb.rref)
-                    if (w or a < n) and not (run and w.startswith(run))
-                    and w.translate(t).lstrip(b"\0")[:1] != b"\2"]
-    columns.sort(key=word_sort_key)
-    basis, tails = [], {}   # free columns, and pivot -> nonempty tail
-    minus_one = field.minus_one
-    for j in range(len(columns) - 1, -1, -1):
-        w = columns[j]
-        if w:       # a w maps to a (x) w's tail in subs[a]
-            v = w[1:]
-            row = {coords[w[0]][bw]: s
-                   for bw, s in subs[w[0]].rref.get(v, ((v, one),))}
-        else:
-            row = {0: one}
-        row[size + j] = minus_one
-        _reduce_row(row, rref)
-        if min(row) < size:
-            _insert_row(row, rref, containing)
-            basis.append(w)
-        elif len(row) > 1:      # its least coordinate is the column's own
-            tails[w] = tuple([(columns[t - size], s)
-                              for t, s in sorted(row.items())[1:]])
-    if empty and b"" not in basis:
+    bb = BlockBasis(key, field, subs, words, rref,
+                    sum(class_size(r, f) for r, f in levels),
+                    sum(live_count(n, h, r, f, ctx._live) for r, f in levels))
+    if b"" in index and bb.basis_words[-1:] != [b""]:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")
-    return BlockBasis(key, field, basis[::-1], dict(reversed(tails.items())),
-                      sum(class_size(r, f) for r, f in levels),
-                      sum(live_count(n, h, r, f, ctx._live) for r, f in levels))
+    return bb
 
 
 class FamilyBasis:
@@ -528,7 +508,7 @@ class FockContext:
     # -- reduction -----------------------------------------------------------
 
     def reduce_word(self, w):
-        """Reduced form of one word: tuple of (basis word, Scalar|None) pairs."""
+        """Reduced form of one word: tuple of (basis word, Scalar) pairs."""
         red = self._wred.get(w)
         if red is not None:
             return red
@@ -547,7 +527,7 @@ class FockContext:
         acc = {}
         for w, c in terms.items():
             for fw, s in () if c.is_zero() else self.reduce_word(w):
-                cs = c if s is None else c * s
+                cs = c * s
                 v = acc.get(fw)
                 acc[fw] = cs if v is None else v + cs
         return {w: c for w, c in acc.items() if not c.is_zero()}
@@ -575,21 +555,24 @@ class FockContext:
             yield from determinant_rows(field, n, h, ws)
 
     def certify(self, bb):
-        """The exact certificate for an echelon form computed elsewhere
-        (a cache record): its basis words and stored pivots are distinct
-        live reps of the chain, so R2/R3 hold, its tails name basis words
-        only, and, each other live rep a pivot with the empty tail, every
-        row of ``qzm.certificate.chain_rows`` reduces to zero."""
+        """The exact certificate for a block built or loaded elsewhere (a
+        cache record): its basis words are live reps of the chain, each of
+        them reduces to itself through the block and every other live rep
+        to basis words only, and every row of ``qzm.certificate.chain_rows``
+        reduces to zero."""
         from .certificate import chain_rows     # builds never need it
         columns, rows = chain_rows(self.field, self.n, self.h, bb.key)
-        index, free = {w: j for j, w in enumerate(columns)}, bb._free
-        if len(free) != bb.dim or not index.keys() >= free.keys():
+        index = {w: j for j, w in enumerate(columns)}
+        free = {index.get(w) for w in bb.basis_words}
+        if None in free:
             return False
-        rref = {j: {} for j, w in enumerate(columns) if w not in free}
-        for p, tail in bb.rref.items():     # each a column, no basis word
-            if index.get(p) not in rref or any(t not in free for t, _ in tail):
+        rref, one, memo = {}, self.field.one, {}
+        for j, w in enumerate(columns):
+            tail = {index.get(t): s for t, s in bb.reduce_word(w, memo)}
+            if tail != {j: one} if j in free else not free >= tail.keys():
                 return False
-            rref[index[p]] = {index[t]: s for t, s in tail}
+            if j not in free:
+                rref[j] = tail
         return not any(_reduce_row(row, rref) for row in rows)
 
 

@@ -6,14 +6,16 @@ content, relation-set fingerprint).  Every file carries a versioned header
 naming that key, the epsilon-convention tag and a sha256 of the block
 record's canonical JSON beside the record.  Builds store the sub-blocks
 they build too (see qzm.basis), and trust the ones they load.  A record is
-the block's own data, keyed by class reps as a ``BlockBasis`` is: its basis
-words, then each pivot with a nonempty tail and the tail, in column order.
-A file that cannot be read or decoded, or whose header or checksum does not
-match the requesting context (other relations included), or whose record is
-no reduced echelon form over live class reps of the block's chain, is a
-miss, so the block is rebuilt.  Validation quarantines a record unless it
-also equals a fresh build that passes the exact certificate
-`FockContext.certify`, which alone would pass a record with an extra pivot.
+the block's own rows over A, keyed by A's coordinate words: its basis
+words, then each pivot with a nonempty tail and the tail, in coordinate
+order.  Loading rebuilds the coordinates from the sub-blocks, got through
+``FockContext.block_basis``.  A file that cannot be read or decoded, or
+whose header or checksum does not match the requesting context (other
+relations included), or whose record is no reduced echelon form over those
+coordinates with live class reps as basis words, is a miss, so the block
+is rebuilt.  Validation quarantines a record unless it also equals a fresh
+build that passes the exact certificate `FockContext.certify`, which alone
+would pass a record with an extra pivot.
 
 Writes are atomic (temp file, then rename) and nothing is merged, so
 processes sharing a directory lose no blocks: writers of different blocks
@@ -29,13 +31,12 @@ import hashlib
 import json
 import os
 import tempfile
-from itertools import chain
 
-from .basis import BlockBasis, FockContext, chain_levels, class_rep
-from .fock import (RELATIONS, eps_tag, word_flavor_content, word_from_letters,
-                   word_is_dead, word_letters, word_row_content)
+from .basis import BlockBasis, FockContext, block_coordinates, class_rep
+from .fock import (RELATIONS, eps_tag, word_from_letters, word_is_dead,
+                   word_letters)
 
-SCHEMA = "qzm-basis/5"
+SCHEMA = "qzm-basis/6"
 
 
 def _canon_key(n, field_tag, block_key):
@@ -83,12 +84,13 @@ def _digest(record):
 
 
 def _encode_block(ctx, bb):
-    """The block in class coordinates: the basis words and the echelon
-    form over the class reps, in the block's order (``word_sort_key``)."""
-    n = ctx.n
-    rows = [[_encode_word(n, lead),
-             [[_encode_word(n, t), s.encode()] for t, s in tail]]
-            for lead, tail in bb.rref.items()]
+    """The block's rows over A: its basis words and each nonempty tail,
+    keyed by coordinate words, in coordinate order (``word_sort_key``)."""
+    n, words = ctx.n, bb.words
+    rows = [[_encode_word(n, words[lead]),
+             [[_encode_word(n, words[t]), s.encode()]
+              for t, s in sorted(tail.items())]]
+            for lead, tail in sorted(bb.rref.items()) if tail]
     return {
         "flavor_content": list(bb.key[1]),
         "total_words": bb.total_words,
@@ -100,31 +102,35 @@ def _encode_block(ctx, bb):
 
 
 def _decode_block(ctx, key, record):
-    """The stored block; ValueError when a basis or lead word is not a live
-    class rep with one of the chain levels' contents, or is listed twice,
-    or when a tail is empty or names a word that is not a basis word."""
+    """The stored block over the coordinates its sub-blocks give;
+    ValueError when a word is no coordinate or is listed twice, when a
+    basis word is no live class rep, or when a lead is a basis word, or
+    its tail is empty or names a word that is not a basis word."""
     n, field = ctx.n, ctx.field
-    basis = [_decode_word(n, e) for e in record["basis"]]
-    free = set(basis)
-    if len(free) < len(basis):
-        raise ValueError("a basis word is listed twice")
-    rref = {}
-    for enc_lead, enc_tail in record["rows"]:
-        lead = _decode_word(n, enc_lead)
-        tail = tuple((_decode_word(n, we), field.decode(se))
-                     for we, se in enc_tail)
-        if (not tail or lead in free or lead in rref
-                or any(t not in free for t, _ in tail)):
-            raise ValueError(f"row {lead.hex()} is not a reduced pivot")
+    subs, words = block_coordinates(ctx, key)
+    index = {w: j for j, w in enumerate(words)}
+
+    def coordinates(encs):
+        out = [index.get(_decode_word(n, e)) for e in encs]
+        if None in out or len(set(out)) < len(out):
+            raise ValueError("a word is no coordinate or is listed twice")
+        return out
+
+    free = set(coordinates(record["basis"]))
+    rref = {j: {} for j in range(len(words)) if j not in free}
+    leads = coordinates([lead for lead, _ in record["rows"]])
+    for lead, (_, enc_tail) in zip(leads, record["rows"]):
+        tail = dict(zip(coordinates([t for t, _ in enc_tail]),
+                        (field.decode(s) for _, s in enc_tail)))
+        if not tail or lead in free or not free >= tail.keys():
+            raise ValueError(f"row {words[lead].hex()} is not a reduced pivot")
         rref[lead] = tail
-    levels = set(chain_levels(*key))
     memo = {}
-    for w in chain(basis, rref):
-        if (class_rep(n, w, memo)[0] != w or word_is_dead(n, ctx.h, w)
-                or (word_row_content(n, w),
-                    word_flavor_content(n, w)) not in levels):
-            raise ValueError(f"column {w.hex()} is not a live class rep")
-    return BlockBasis(key, field, basis, rref, record["total_words"],
+    for j in free:
+        if class_rep(n, words[j], memo)[0] != words[j] or word_is_dead(
+                n, ctx.h, words[j]):
+            raise ValueError(f"basis word {words[j].hex()} is no live rep")
+    return BlockBasis(key, field, subs, words, rref, record["total_words"],
                       record["live_words"])
 
 

@@ -99,9 +99,9 @@ def reduced_coordinates(ctx, state):
         if not rwb:
             continue
         for fw, s in rw:
-            cs = c if s is None else c * s
+            cs = c * s
             for fwb, sb in rwb:
-                ct = cs if sb is None else cs * sb
+                ct = cs * sb
                 key = (fw, fwb)
                 v = acc.get(key)
                 if v is None:

@@ -1,10 +1,11 @@
 """Block builds against row elimination and word-level elimination.
 
-``build_block`` works over R2/R3 commutation classes from a block's
-one-letter sub-blocks and lists no words.  Two oracles check it: one
-eliminates every row of ``chain_rows`` (one per prefix rep, window or
-split, and suffix rep) over every live class and must give the same cache
-record; the other eliminates every relation instance, R2/R3 included, over
+``build_block`` eliminates a block's relation rows over A, the letters
+times its one-letter sub-blocks' basis words, and lists no words.  Two
+oracles check it: one eliminates every row of ``chain_rows`` (one per
+prefix rep, window or split, and suffix rep) over every live class and
+must give the same record of each live rep's reduction; the other
+eliminates every relation instance, R2/R3 included, over
 every live word with the same incremental Gauss-Jordan, and every live
 word must reduce identically.  A weighted union-find over the swaps is the
 oracle for ``class_rep``, which is in turn the oracle for the rep search,
@@ -19,12 +20,11 @@ from itertools import product
 import pytest
 
 from qzm import basis, certificate, cli
-from qzm.basis import (BlockBasis, FockContext, _compositions, _insert_row,
-                       _level_words, chain_levels, class_rep, class_size,
-                       live_count)
+from qzm.basis import (FockContext, _compositions, _insert_row, _level_words,
+                       chain_levels, class_rep, class_size, live_count)
+from qzm.cache import DiskCache, _encode_word
 from qzm.certificate import (_alphabet, _live_reps, _reps_by_content,
                              chain_rows)
-from qzm.cache import DiskCache, _encode_block
 from qzm.fock import class_words, word_from_letters, word_is_dead
 
 
@@ -161,6 +161,39 @@ def test_fprime_blocks_match_word_level(monkeypatch, n, k):
     assert_blocks_match_word_level(ctx, list(ctx._blocks))
 
 
+class BlockBasis:
+    """A block in class coordinates, as the oracles record it: its basis
+    words, and each other live rep of the chain with its reduction, a tuple
+    of (basis word, Scalar), all in column order (``word_sort_key``)."""
+
+    def __init__(self, key, field, basis_words, rref, total_words, live_words):
+        self.key = key
+        self.field = field
+        self.basis_words = basis_words
+        self.rref = rref
+        self.total_words = total_words
+        self.live_words = live_words
+        self.dim = len(basis_words)
+
+
+def _encode_block(ctx, bb):
+    """The block in class coordinates: the basis words and the echelon
+    form over the class reps, in the block's order (``word_sort_key``);
+    the record format of schema qzm-basis/5."""
+    n = ctx.n
+    rows = [[_encode_word(n, lead),
+             [[_encode_word(n, t), s.encode()] for t, s in tail]]
+            for lead, tail in bb.rref.items()]
+    return {
+        "flavor_content": list(bb.key[1]),
+        "total_words": bb.total_words,
+        "live_words": bb.live_words,
+        "dim": bb.dim,
+        "basis": [_encode_word(n, w) for w in bb.basis_words],
+        "rows": rows,
+    }
+
+
 def eliminate_chain_rows(ctx, key):
     """The block as eliminating every row of ``chain_rows`` gives it, over
     every live class of the chain and without sub-blocks, with every pivot
@@ -181,12 +214,13 @@ def eliminate_chain_rows(ctx, key):
 
 
 def full_record(ctx, bb):
-    """The block's cache record with each implicit pivot, a live rep of the
-    chain that is neither a basis word nor stored, given the empty tail:
-    the record of a block that stores every pivot."""
+    """The block's record in class coordinates: its basis words, and each
+    other live rep of the chain with its reduction through the block, the
+    empty one included."""
     columns, _ = chain_rows(ctx.field, ctx.n, ctx.h, bb.key)
-    assert bb.rref.keys() <= set(columns), bb.key
-    rref = {w: bb.rref.get(w, ()) for w in columns if w not in bb._free}
+    free = set(bb.basis_words)
+    assert free <= set(columns), bb.key
+    rref = {w: bb.reduce_word(w) for w in columns if w not in free}
     return _encode_block(ctx, BlockBasis(bb.key, bb.field, bb.basis_words,
                                          rref, bb.total_words, bb.live_words))
 
@@ -232,42 +266,34 @@ def test_builds_use_no_chain_rows(monkeypatch):
 
 
 def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
-    """Every block of fprime (3,1), built in a fresh context, takes 714
+    """Every block of fprime (3,1), built in a fresh context, takes 628
     ``_insert_row`` calls in all: R2/R3 rows in one order only, no row once
     the quotient is zero, and no row for a pair whose sub-block has no
-    basis word (making every row in both orders took 1 164).  A zero
-    quotient lists no columns but the vacuum, so some zero-quotient block
-    with live words reduces no row outside ``_insert_row``."""
+    basis word."""
     keys = list(fprime_context(monkeypatch, 3, 1)._blocks)
     building = []           # the builds in progress, innermost last
-    calls = {}              # key -> [_insert_row calls, _reduce_row calls]
+    calls = {}              # key -> _insert_row calls
 
-    def counted(fn, i):
-        def wrapper(*args):
-            calls[building[-1]][i] += 1
-            return fn(*args)
-        return wrapper
+    def counted(*args):
+        calls[building[-1]] += 1
+        return real_insert(*args)
 
     def build(ctx, row_content, flavor_content):
         building.append((row_content, flavor_content))
-        calls[building[-1]] = [0, 0]
+        calls[building[-1]] = 0
         try:
             return real_build(ctx, row_content, flavor_content)
         finally:
             building.pop()
 
-    real_build = basis.build_block
+    real_build, real_insert = basis.build_block, basis._insert_row
     monkeypatch.setattr(basis, "build_block", build)
-    monkeypatch.setattr(basis, "_insert_row", counted(basis._insert_row, 0))
-    monkeypatch.setattr(basis, "_reduce_row", counted(basis._reduce_row, 1))
+    monkeypatch.setattr(basis, "_insert_row", counted)
     ctx = FockContext(3, 1)
     for key in keys:
         ctx.block_basis(*key)
     assert len(calls) == ctx.stats["blocks_built"] == len(keys)
-    assert sum(inserts for inserts, _ in calls.values()) == 714
-    assert any(ctx._blocks[key].live_words and not ctx._blocks[key].dim
-               and inserts == reduces
-               for key, (inserts, reduces) in calls.items())
+    assert sum(calls.values()) == 628
 
 
 def per_word_certificate(ctx, bb):
@@ -322,38 +348,40 @@ def test_sweep_instances_touch_a_live_ending(ctx32, gctx3):
         assert_every_instance_touches_a_live_ending(ctx, keys)
 
 
+def altered(bb, rref):
+    """The block with another echelon form over the same coordinates."""
+    return basis.BlockBasis(bb.key, bb.field, bb.subs, bb.words, rref,
+                            bb.total_words, bb.live_words)
+
+
 def test_certificate_rejects_an_altered_block(ctx22):
     """certify accepts a built block, and rejects it after one tail scalar
-    changes, when a pivot is listed as a basis word too, or when a tail
-    names a pivot or a word that is no live rep of the chain."""
+    changes, when a tail names a pivot, or when a pivot is read as a basis
+    word."""
     bb = ctx22.block_basis((2, 1), (1, 2))
     assert ctx22.certify(bb)
-    lead = next(p for p, tail in bb.rref.items() if tail)
-    (t, s), *rest = bb.rref[lead]
-    other = next(p for p in bb.rref if p != lead)
-    for tail in (((t, s + ctx22.field.one), *rest), ((other, s), *rest),
-                 ((bytes((3,)), s), *rest)):
-        assert not ctx22.certify(BlockBasis(bb.key, bb.field, bb.basis_words,
-                                            {**bb.rref, lead: tail},
-                                            bb.total_words, bb.live_words))
-    assert not ctx22.certify(BlockBasis(bb.key, bb.field,
-                                        bb.basis_words + [lead], bb.rref,
-                                        bb.total_words, bb.live_words))
+    lead = next(j for j, tail in bb.rref.items() if tail)
+    (t, s), *rest = bb.rref[lead].items()
+    other = next(j for j in bb.rref if j != lead)
+    for tail in ({t: s + ctx22.field.one, **dict(rest)},
+                 {other: s, **dict(rest)}):
+        assert not ctx22.certify(altered(bb, {**bb.rref, lead: tail}))
+    assert not ctx22.certify(altered(bb, {j: tail for j, tail in
+                                          bb.rref.items() if j != lead}))
 
 
 def test_certificate_rejects_a_dropped_column(ctx22, tmp_path):
-    """A block that reads a live class as dead, its free column dropped and
-    the tails without it, still reduces every per-word instance to zero.
-    The dropped column reads as one more implicit pivot, and certify passes
-    an extra pivot by design, so it passes this block; ``cache validate``
-    compares its record with a fresh build and quarantines it."""
+    """A block that reads a live class as dead, its basis word made a pivot
+    with the empty tail and the tails without it, still reduces every
+    per-word instance to zero.  certify passes an extra pivot by design,
+    so it passes this block; ``cache validate`` compares its record with a
+    fresh build and quarantines it."""
     bb = ctx22.block_basis((2, 1), (1, 2))
-    free, *rest = bb.basis_words
-    tails = {lead: tuple((t, s) for t, s in tail if t != free)
-             for lead, tail in bb.rref.items()}
-    dropped = BlockBasis(bb.key, bb.field, rest,
-                         {lead: tail for lead, tail in tails.items() if tail},
-                         bb.total_words, bb.live_words)
+    free = bb.words.index(bb.basis_words[0])
+    rref = {j: {t: s for t, s in tail.items() if t != free}
+            for j, tail in bb.rref.items()}
+    dropped = altered(bb, {**rref, free: {}})
+    assert dropped.dim == bb.dim - 1
     assert per_word_certificate(ctx22, dropped)
     assert ctx22.certify(dropped)
     cache = DiskCache(str(tmp_path / "cache"))
@@ -368,17 +396,21 @@ def test_certificate_rejects_a_dropped_column(ctx22, tmp_path):
     assert os.listdir(cache.directory) == [name + ".quarantined"]
 
 
-def test_blocks_store_only_nonempty_tails(monkeypatch):
-    """Over the 236 blocks of fprime (3,1) no stored tail is empty, each of
-    the 157 zero-quotient blocks holds nothing, and the stored tails number
-    583, where storing every pivot took 1 825."""
+def test_blocks_keep_one_tail_per_pivot_coordinate(monkeypatch):
+    """Over the 236 blocks of fprime (3,1) each pivot coordinate of A has
+    a tail that names free coordinates only, and each of the 157
+    zero-quotient blocks holds pivots with the empty tail alone.  The
+    blocks hold 300 tails, 158 of them nonempty."""
     blocks = fprime_context(monkeypatch, 3, 1)._blocks.values()
     assert len(blocks) == 236
-    assert all(tail for bb in blocks for tail in bb.rref.values())
+    for bb in blocks:
+        assert all(not tail.keys() & bb.rref.keys()
+                   for tail in bb.rref.values())
     zero = [bb for bb in blocks if not bb.dim]
     assert len(zero) == 157
-    assert all(bb.rref == {} and bb.basis_words == [] for bb in zero)
-    assert sum(len(bb.rref) for bb in blocks) == 583
+    assert all(not any(bb.rref.values()) for bb in zero)
+    assert sum(len(bb.rref) for bb in blocks) == 300
+    assert sum(bool(tail) for bb in blocks for tail in bb.rref.values()) == 158
 
 
 def test_generic_blocks_match_word_level(gctx2):
@@ -544,6 +576,15 @@ def test_largest_33_chain_without_words():
     assert len(_live_reps(alphabet, reps, levels)) == 37309
     assert sum(live_count(n, h, r, f, {}) for r, f in levels) == 471300
     assert sum(class_size(r, f) for r, f in levels) == 1060200
+
+
+def test_largest_33_block_keeps_only_its_rows():
+    """The largest block of the (3,3) scan, built in a fresh context, keeps
+    one tail per pivot of its 9 coordinates, where the column build stored
+    10 263 tails, one per live rep with a nonempty reduction."""
+    bb = FockContext(3, 3, budget=2000000).block_basis((4, 4, 1), (3, 3, 3))
+    assert bb.dim == 1
+    assert len(bb.rref) <= len(bb.words) == 9
 
 
 # sha256 of the canonical JSON of every block record with 1 to max_letters

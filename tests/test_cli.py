@@ -101,9 +101,10 @@ def test_cache_roundtrip_and_validate(tmp_path):
     # a fresh context must load the same data from disk
     ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb2 = ctx2.block_basis((2, 1), (2, 1))
-    assert ctx2.stats["blocks_loaded"] == 1
+    # a load reads its coordinates from its sub-blocks, so they load too
+    assert ctx2.stats["blocks_loaded"] == 10
     assert bb2.basis_words == bb.basis_words
-    assert bb2.rref.keys() == bb.rref.keys()
+    assert bb2.rref == bb.rref
     files = [f for f in os.listdir(cache_dir) if f.endswith(".json")]
     # the block and its 9 sub-blocks, the empty content's included
     assert len(files) == ctx.stats["blocks_built"] == 10
@@ -241,14 +242,16 @@ def test_malformed_block_file_is_rebuilt(tmp_path, damage):
         fh.write(text)
     ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb2 = ctx2.block_basis((2, 1), (2, 1))
-    # its 4 one-letter and 3 two-letter sub-blocks load
-    assert ctx2.stats["blocks_loaded"] == 7
+    # its 9 sub-blocks load
+    assert ctx2.stats["blocks_loaded"] == 9
     assert ctx2.stats["blocks_built"] == 1
     assert bb2.basis_words == bb.basis_words
-    # the rebuild rewrote the file, so the next context loads it
+    # the rebuild rewrote the file, so the next context loads it, and the
+    # sub-blocks that give its coordinates
     ctx3 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     assert ctx3.block_basis((2, 1), (2, 1)).basis_words == bb.basis_words
-    assert ctx3.stats["blocks_loaded"] == 1
+    assert ctx3.stats["blocks_loaded"] == 10
+    assert ctx3.stats["blocks_built"] == 0
 
 
 def test_altered_scalar_block_is_rebuilt(tmp_path):
@@ -266,8 +269,8 @@ def test_altered_scalar_block_is_rebuilt(tmp_path):
         json.dump(data, fh)
     ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb2 = ctx2.block_basis((2, 1), (1, 2))
-    # its 4 one-letter and 3 two-letter sub-blocks load
-    assert ctx2.stats["blocks_loaded"] == 7
+    # its 9 sub-blocks load
+    assert ctx2.stats["blocks_loaded"] == 9
     assert ctx2.stats["blocks_built"] == 1
     assert bb2.rref == bb.rref
 
@@ -327,7 +330,9 @@ def test_cache_validate_rebuilds_a_record_with_an_extra_pivot(tmp_path):
 
 def test_stored_record_hashes_to_its_header(tmp_path):
     """The file's record hashes to the sha256 in its header, and that
-    digest of ((2,1),(1,2)) at (n, k) = (2, 2) stays what it was."""
+    digest of ((2,1),(1,2)) at (n, k) = (2, 2) stays what it was.  Pinned
+    anew for schema qzm-basis/6, whose record keys the block's rows over A
+    by coordinate words."""
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     ctx.block_basis((2, 1), (1, 2))
@@ -336,7 +341,7 @@ def test_stored_record_hashes_to_its_header(tmp_path):
         data = json.load(fh)
     blob = json.dumps(data["block"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == data["sha256"] == \
-        "a21755b5851aa90f6736f1727cd27552a77090fd21d49407d5b94b8d705e1550"
+        "bdd56cc26d669972eb7f518b2afa7024459d16dba59e0d943e6379730e43e7a1"
 
 
 def test_fresh_context_builds_no_sub_block(tmp_path):
@@ -364,8 +369,10 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb = ctx.block_basis((2, 0), (1, 1))
     assert bb.basis_words == [bytes((0, 1))]
-    assert not ctx.certify(BlockBasis(bb.key, bb.field, [bytes((1, 0))],
-                                      bb.rref, bb.total_words, bb.live_words))
+    # the coordinate a12 a11 read as free, and the rep a11 a12 as zero
+    rref = {bb.words.index(bytes((0, 1))): {}}
+    assert not ctx.certify(BlockBasis(bb.key, bb.field, bb.subs, bb.words,
+                                      rref, bb.total_words, bb.live_words))
     path = _block_file(cache_dir, ctx, bb.key)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -396,14 +403,16 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
 
 @pytest.mark.parametrize("damage", ["tail_names_a_pivot",
                                     "lead_is_a_basis_word", "lead_repeated",
-                                    "basis_word_repeated", "empty_tail"])
+                                    "basis_word_repeated", "empty_tail",
+                                    "word_is_no_coordinate"])
 def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
-    """A checksummed record that is not a reduced echelon form: a tail
-    names another pivot, not a basis word (a reduction through it would
-    stop at that pivot), or a lead is a basis word too, or a lead or a
-    basis word is listed twice, or a row has the empty tail, which a record
-    leaves implicit.  The load rejects it, so the block is rebuilt, and
-    validation quarantines the file."""
+    """A checksummed record that is not a reduced echelon form over A: a
+    tail names another pivot, not a basis word (a reduction through it
+    would stop at that pivot), or a lead is a basis word too, or a lead or
+    a basis word is listed twice, or a row has the empty tail, which a
+    record leaves implicit, or a tail names a word that is no coordinate.
+    The load rejects it, so the block is rebuilt, and validation
+    quarantines the file."""
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     bb = ctx.block_basis((2, 1), (1, 2))
@@ -416,11 +425,13 @@ def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
     if damage == "tail_names_a_pivot":
         tail[0][0] = next(other for other, _ in rows if other != lead)
     elif damage == "lead_is_a_basis_word":
-        rows.append([record["basis"][0], []])
+        rows.append([record["basis"][0], tail])
     elif damage == "lead_repeated":
         rows.append(rows[0])
     elif damage == "empty_tail":
         tail.clear()
+    elif damage == "word_is_no_coordinate":
+        tail[0][0] = [[1, 1]]
     else:
         record["basis"].append(record["basis"][0])
     data["sha256"] = _digest(record)
@@ -431,8 +442,8 @@ def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
         fh.write(text)
     ctx2 = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     assert ctx2.block_basis((2, 1), (1, 2)).rref == bb.rref
-    # its 4 one-letter and 3 two-letter sub-blocks load
-    assert ctx2.stats["blocks_loaded"] == 7
+    # its 9 sub-blocks load
+    assert ctx2.stats["blocks_loaded"] == 9
     assert ctx2.stats["blocks_built"] == 1
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -506,6 +517,14 @@ def test_class_map_file_ignored_and_quarantined(tmp_path):
     _assert_old_file_ignored_and_quarantined(tmp_path, class_map)
 
 
+def test_rep_keyed_file_ignored_and_quarantined(tmp_path):
+    def rep_keyed(data):
+        # schema qzm-basis/5: nonempty tails keyed by live class reps; this
+        # block's rows over A name the same words, so only the schema differs
+        return dict(data, schema="qzm-basis/5")
+    _assert_old_file_ignored_and_quarantined(tmp_path, rep_keyed)
+
+
 def test_all_pivot_file_ignored_and_quarantined(tmp_path):
     def all_pivots(data):
         # schema qzm-basis/4: every pivot stored, those with the empty tail
@@ -569,7 +588,9 @@ def test_two_processes_share_a_cache_dir(tmp_path):
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
     ctx.family_basis((2, 1))
     assert ctx.stats["blocks_built"] == 0
-    assert ctx.stats["blocks_loaded"] == 4
+    # the family's 4 blocks and the 11 sub-blocks that give their
+    # coordinates
+    assert ctx.stats["blocks_loaded"] == 15
 
 
 def test_cache_validate_quarantines_non_object_record(tmp_path):
@@ -615,11 +636,14 @@ def _tree_digest(directory):
 def test_cold_fprime_n3k1_cache_is_pinned(tmp_path):
     """A cold ``fprime --n 3 --k 1`` cache holds the same files with the
     same bytes, whatever the build does inside: the reduced echelon form is
-    unique, and the records are canonical JSON."""
+    unique, and the records are canonical JSON.  Pinned anew for schema
+    qzm-basis/6, whose records key the rows over A by coordinate words; the
+    blocks' reductions, pinned by PINNED_RECORDS in test_basis, did not
+    change."""
     cache_dir = str(tmp_path / "cache")
     _fprime_n3k1(tmp_path, "cold", "--cache-dir", cache_dir)
     assert _tree_digest(cache_dir) == (
-        236, "9201c3d50066e84d0a45a83278a189c1b3f46bf965704fc323463f7f61f6ddb7")
+        236, "3738750837a182cfe957f55f1caa512534cd4fee6bc62519d66dcafd18c82717")
 
 
 def test_zero_test_sees_a_corrupted_block():
@@ -630,13 +654,16 @@ def test_zero_test_sees_a_corrupted_block():
     contents = cli._sweep_contents(2, 4)
     assert cli._sweep_all_zero(ctx, contents)[0]
     bb = ctx.block_basis((2, 1), (1, 2))
-    lead, tail = next((p, t) for p, t in bb.rref.items() if t)
+    lead, tail = next((j, t) for j, t in bb.rref.items() if t)
     state = ChiralState(ctx.field, 2, terms=dict(
-        [(lead, ctx.field.one)] + [(t, -s) for t, s in tail]))
+        [(bb.words[lead], ctx.field.one)]
+        + [(bb.words[t], -s) for t, s in tail.items()]))
     assert ctx.is_zero_state(state)
-    (t, s), *rest = tail
-    bb.rref[lead] = ((t, s + ctx.field.one), *rest)
+    (t, s), *rest = tail.items()
+    bb.rref[lead] = {t: s + ctx.field.one, **dict(rest)}
     ctx._wred.clear()       # reductions memoised before the change
+    for b in ctx._blocks.values():
+        b._red.clear()
     assert not cli._sweep_all_zero(ctx, contents)[0]
     assert not ctx.is_zero_state(state)
     assert not ctx.is_zero_state(ChiralState.vacuum(ctx.field, 2))

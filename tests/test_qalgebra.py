@@ -5,6 +5,7 @@ import pytest
 
 from qzm import cli, fock, qalgebra as qa
 from qzm.basis import FockContext, RelationInconsistency
+from qzm.certificate import chain_rows
 from qzm.diagrams import YoungDiagram, enumerate_diagrams
 from qzm.fock import EPS_SIGN, eps_tag, word_row_content
 from qzm.scalars import UsageError
@@ -181,9 +182,10 @@ def test_both_eps_signs_pass_calibration(sign, monkeypatch):
 
 
 def test_eps_sign_keeps_integral_structure_constants(monkeypatch):
-    """Over the full growth scans, EPS_SIGN leaves every echelon tail in
-    Z[q]; the mirror sign does not (all 40 class-coordinate tails at (2,3)
-    and 225 of 691 at (3,1) carry a denominator)."""
+    """Over the full growth scans, EPS_SIGN leaves the reduction of every
+    live class rep in Z[q]; the mirror sign does not (all 40 scalars of the
+    reductions of pivot reps at (2,3) and 225 of 691 at (3,1) carry a
+    denominator)."""
     for n, k in ((2, 3), (3, 1)):
         dens = {}
         for sign in (-1, 1):
@@ -193,7 +195,9 @@ def test_eps_sign_keeps_integral_structure_constants(monkeypatch):
                 for j in range(1, n + 1):
                     qa.check_growth(ctx, y, j)
             dens[sign] = [s.den for bb in ctx._blocks.values()
-                          for tail in bb.rref.values() for _, s in tail]
+                          for w in chain_rows(ctx.field, n, ctx.h, bb.key)[0]
+                          if w not in bb.basis_words
+                          for _, s in bb.reduce_word(w)]
         assert dens[-1] and all(d == 1 for d in dens[-1])
         assert any(d != 1 for d in dens[1])
 
