@@ -32,7 +32,7 @@ from __future__ import annotations
 import weakref
 from math import factorial
 
-from .fock import (ChiralState, class_words, determinant_blocks,
+from .fock import (State, class_words, determinant_blocks,
                    determinant_bare, determinant_rows, exchange_rows,
                    exchange_terms, word_flavor_content, word_is_dead,
                    word_row_content, word_sort_key)
@@ -93,11 +93,11 @@ def _level_words(n, levels):
 def _reduce_row(row, rref):
     """Reduce a row of nonzero entries in place through ``rref``, which maps
     a pivot column to its tail {column: Scalar}, meaning the pivot equals
-    the tail combination in the quotient; tails only hold non-pivot columns.
-    The tails the row takes in add free columns only, so one ascending pass
-    over its pivot columns clears them all.  Returns the row: empty exactly
-    when it was in the span."""
-    for j in sorted([j for j in row if j in rref]):
+    the tail combination in the quotient.  Invariant: tails hold free
+    columns only, never a pivot.  So the tails the row takes in add no
+    pivot column, and one pass over its pivot columns, in any order, clears
+    them all.  Returns the row: empty exactly when it was in the span."""
+    for j in [j for j in row if j in rref]:
         c = row.pop(j)
         for t, s in rref[j].items():
             cs = c * s
@@ -113,42 +113,23 @@ def _reduce_row(row, rref):
     return row
 
 
-def _insert_row(row, rref, containing):
-    """Insert one relation row, maintaining a fully reduced echelon form
-    (see ``_reduce_row``).  Returns the new pivot index, or None if the row
-    was already in the span."""
+def _insert_row(row, rref):
+    """Insert one relation row, keeping ``rref`` a fully reduced echelon
+    form whose tails hold free columns only (see ``_reduce_row``).  The
+    reduced row's least column becomes a pivot, and every tail that names
+    it is reduced through the new pivot's tail, which holds free columns
+    only.  Returns the new pivot, or None if the row was already in the
+    span."""
     row = _reduce_row(row, rref)
     if not row:
         return None
     lead = min(row)
-    c = row.pop(lead)
-    cinv = c.invert()
-    tail = {}
-    for t, s in row.items():
-        cs = s * cinv
-        if not cs.is_zero():
-            tail[t] = -cs
-    owners = containing.pop(lead, None)
-    if owners:
-        for big in owners:
-            tl = rref[big]
-            u = tl.pop(lead)
-            for t, s in tail.items():
-                us = u * s
-                v = tl.get(t)
-                if v is None:
-                    tl[t] = us
-                    containing.setdefault(t, set()).add(big)
-                else:
-                    v = v + us
-                    if v.is_zero():
-                        del tl[t]
-                        containing[t].discard(big)
-                    else:
-                        tl[t] = v
-    rref[lead] = tail
-    for t in tail:
-        containing.setdefault(t, set()).add(lead)
+    cinv = row.pop(lead).invert()
+    new = {lead: {t: -(s * cinv) for t, s in row.items()}}
+    for tail in rref.values():
+        if lead in tail:
+            _reduce_row(tail, new)
+    rref.update(new)
     return lead
 
 
@@ -408,10 +389,10 @@ def build_block(ctx, row_content, flavor_content):
             for beta in lower.basis_words:
                 yield [(b + beta, c) for b, c in blocks] + [(beta, bare)]
 
-    rref, containing, memo = {}, {}, {}     # memo: class_rep's, per build
+    rref, memo = {}, {}     # memo: class_rep's, per build
     for terms in rows() if words else ():
         if row := _image(subs, index, terms, memo):
-            _insert_row(row, rref, containing)
+            _insert_row(row, rref)
             if len(rref) == len(words):
                 break
     bb = BlockBasis(key, field, subs, words, rref,
@@ -534,7 +515,7 @@ class FockContext:
 
     def reduce_state(self, state):
         """Express a state in quotient basis words only; idempotent."""
-        return ChiralState(self.field, self.n, self.reduce_terms(state.terms))
+        return State(self.field, self.n, self.reduce_terms(state.terms))
 
     def is_zero_state(self, state):
         return not self.reduce_terms(state.terms)

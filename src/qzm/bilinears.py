@@ -19,8 +19,8 @@ dynamical identity relating A^{ij} to A^{ji} does use the quotient.
 
 from __future__ import annotations
 
-from .fock import ChiralState, letter_code, word_row_content
-from .qalgebra import TensorState, apply_Q
+from .fock import State, letter_code, word_row_content
+from .qalgebra import apply_Q
 from .scalars import UsageError
 from .weights import epsilon, p_diff
 
@@ -63,7 +63,7 @@ def apply_bilinear(kind, i, j, a, b, state):
             cx = c * x
             v = out.get(key)
             out[key] = cx if v is None else v + cx
-    return ChiralState(field, n, out)
+    return State(field, n, out)
 
 
 def apply_tensor_pair(kind_left, kind_right, i, j, l, m, state):
@@ -95,7 +95,7 @@ def apply_tensor_pair(kind_left, kind_right, i, j, l, m, state):
                                 del out[key]
                             else:
                                 out[key] = old
-    return TensorState(field, n, out)
+    return State(field, n, out)
 
 
 def decompose_QQ(i, l, j, m, state):

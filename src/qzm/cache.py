@@ -194,6 +194,8 @@ class DiskCache:
         data reads as invalid; any other error propagates."""
         try:
             n, field = data["n"], data["field"]
+            if type(n) is not int or not isinstance(field, str):
+                return False
             ctx = contexts.get((n, field))
             if ctx is None:
                 ctx = contexts[n, field] = (

@@ -17,8 +17,7 @@ import time
 from . import __version__, bilinears as bl, diagrams as dg, qalgebra as qa
 from .basis import BudgetExceeded, DEFAULT_BUDGET, FockContext, _compositions
 from .cache import DiskCache
-from .fock import (ChiralState, class_words, determinant_rows, eps_tag,
-                   word_is_dead)
+from .fock import State, class_words, determinant_rows, eps_tag, word_is_dead
 from .reports import (BUDGET, CheckRecord, DERIVED, EXPLORATORY, FAIL, DOCUMENTED,
                       PASS, Report, SKIPPED)
 from .scalars import GENERIC, ROOT, make_field
@@ -180,7 +179,7 @@ def _random_word(ctx, rng, letters=RANDOM_WORD_LETTERS):
 
 
 def _word_state(ctx, w):
-    return ChiralState(ctx.field, ctx.n, terms={w: ctx.field.one})
+    return State(ctx.field, ctx.n, terms={w: ctx.field.one})
 
 
 def _instances_all_zero(ctx, rc, fc):

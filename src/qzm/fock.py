@@ -3,13 +3,14 @@
 A generator letter carries a row index i and a flavor index alpha, both in
 1..n.  Words are byte strings of letter codes (i-1)*n + (alpha-1); the
 leftmost byte is the leftmost operator factor, so the rightmost byte acts
-first on the vacuum.  States are sparse word -> Scalar maps.
+first on the vacuum.  A ``State`` is a sparse map to Scalars from words, or
+from (word, barred word) pairs on the tensor square.
 
 The barred generators satisfy relations of exactly the same shape in
 (row, flavor) terms -- same exchange templates, same vacuum conditions,
 same determinant contraction pattern, with the barred weights shifting the
-same way -- so barred words are words too, the second factor of a
-``qzm.qalgebra.TensorState``, and one set of templates serves both.
+same way -- so barred words are words too, the second word of a pair
+key, and one set of templates serves both.
 
 Relation templates, with all weight dependence evaluated on the suffix the
 instance acts on:
@@ -127,18 +128,20 @@ def word_sort_key(w):
 # states
 # ---------------------------------------------------------------------------
 
-class ChiralState:
-    """Sparse Scalar-weighted combination of words."""
+class State:
+    """Sparse Scalar-weighted combination of keys: words for a chiral
+    state, (word, barred word) pairs for a state of the tensor square."""
 
     __slots__ = ("field", "n", "terms")
 
     def __init__(self, field, n, terms=None):
         self.field = field
         self.n = n
-        self.terms = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
+        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
 
     @classmethod
     def vacuum(cls, field, n):
+        """The chiral vacuum; ``qzm.qalgebra.tensor_vacuum`` is the pair's."""
         return cls(field, n, {b"": field.one})
 
     def is_empty(self):
@@ -146,35 +149,38 @@ class ChiralState:
 
     def scale(self, c):
         if c.is_zero():
-            return ChiralState(self.field, self.n)
-        return ChiralState(self.field, self.n,
-                           {w: c * x for w, x in self.terms.items()})
+            return State(self.field, self.n)
+        return State(self.field, self.n,
+                     {k: c * x for k, x in self.terms.items()})
 
     def __add__(self, other):
         out = dict(self.terms)
-        zero = self.field.zero
-        for w, c in other.terms.items():
-            out[w] = out.get(w, zero) + c
-        return ChiralState(self.field, self.n, out)
+        for k, c in other.terms.items():
+            v = out.get(k)
+            out[k] = c if v is None else v + c
+        return State(self.field, self.n, out)
 
     def __sub__(self, other):
-        return self + other.scale_neg()
-
-    def scale_neg(self):
-        return ChiralState(self.field, self.n,
-                           {w: -c for w, c in self.terms.items()})
+        return self + State(self.field, self.n,
+                            {k: -c for k, c in other.terms.items()})
 
     def apply_letter(self, row, flavor):
-        """Left multiplication by one generator letter; no reduction."""
+        """Left multiplication of a chiral state by one generator letter;
+        no reduction."""
         code = bytes([letter_code(self.n, row, flavor)])
-        return ChiralState(self.field, self.n,
-                           {code + w: c for w, c in self.terms.items()})
+        return State(self.field, self.n,
+                     {code + w: c for w, c in self.terms.items()})
 
     def __repr__(self):
+        def words(k):
+            return k if isinstance(k, tuple) else (k,)
         parts = []
-        for w in sorted(self.terms, key=word_sort_key):
-            letters = "".join(f"a[{r},{f}]" for r, f in word_letters(self.n, w)) or "|0>"
-            parts.append(f"({self.terms[w]!r})*{letters}")
+        for k in sorted(self.terms, key=lambda k: [word_sort_key(w)
+                                                   for w in words(k)]):
+            shown = " (x) ".join("".join(f"a[{r},{f}]" for r, f in
+                                         word_letters(self.n, w)) or "|0>"
+                                 for w in words(k))
+            parts.append(f"({self.terms[k]!r})*{shown}")
         return " + ".join(parts) if parts else "0"
 
 

@@ -1,8 +1,8 @@
 """The 2D Q-operator algebra on the tensor square of the Fock module.
 
 Q^i_j acts as sum over flavors of (row-i chiral letter) x (row-j barred
-letter).  States here are sparse maps from (chiral word, barred word) pairs
-to scalars; zero-testing reduces both factors blockwise to their quotient
+letter).  States here are ``qzm.fock.State`` maps keyed by (chiral word,
+barred word) pairs; zero-testing reduces both factors blockwise to their quotient
 bases and checks the coefficient matrix in basis x basis coordinates.
 
 Diagonal monomials ordered by row build the candidate basis vectors labeled
@@ -23,47 +23,15 @@ from dataclasses import dataclass, field as dc_field
 
 from . import diagrams as dg
 from .basis import RelationInconsistency
-from .fock import EPS_SIGN, letter_code, word_letters, word_row_content
+from .fock import (EPS_SIGN, State, letter_code, word_letters,
+                   word_row_content)
 from .scalars import UsageError
 from .weights import p_diff
 
 
-class TensorState:
-    """Sparse combination of (chiral word, barred word) pairs."""
-
-    __slots__ = ("field", "n", "terms")
-
-    def __init__(self, field, n, terms=None):
-        self.field = field
-        self.n = n
-        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
-
-    @classmethod
-    def vacuum(cls, field, n):
-        return cls(field, n, {(b"", b""): field.one})
-
-    def is_empty(self):
-        return not self.terms
-
-    def scale(self, c):
-        if c.is_zero():
-            return TensorState(self.field, self.n)
-        return TensorState(self.field, self.n,
-                           {k: c * x for k, x in self.terms.items()})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = out.get(k)
-            out[k] = c if v is None else v + c
-        return TensorState(self.field, self.n, out)
-
-    def __sub__(self, other):
-        return self + other.scale(self.field.minus_one)
-
-
 def tensor_vacuum(ctx):
-    return TensorState.vacuum(ctx.field, ctx.n)
+    """The vacuum of the tensor square, keyed by the empty word pair."""
+    return State(ctx.field, ctx.n, {(b"", b""): ctx.field.one})
 
 
 def apply_Q(i, j, state):
@@ -79,7 +47,7 @@ def apply_Q(i, j, state):
             key = (x + w, xb + wb)
             v = out.get(key)
             out[key] = c if v is None else v + c
-    return TensorState(state.field, n, out)
+    return State(state.field, n, out)
 
 
 def apply_Q_power(i, j, m, state):
@@ -117,8 +85,8 @@ def reduced_coordinates(ctx, state):
 
 def reduced_apply_Q(ctx, i, j, coords):
     """The reduced coordinates of Q^i_j v, given v's reduced coordinates."""
-    return reduced_coordinates(ctx, apply_Q(i, j, TensorState(ctx.field, ctx.n,
-                                                              coords)))
+    return reduced_coordinates(ctx, apply_Q(i, j, State(ctx.field, ctx.n,
+                                                        coords)))
 
 
 def is_zero_tensor(ctx, state):
@@ -320,8 +288,8 @@ def check_dynamical_commutation(ctx, coords, i, j):
     # p_i - p_j, which a determinant chain shift leaves alone
     pij = p_diff(word_row_content(ctx.n, next(iter(coords))[0]), i, j)
     f, n = ctx.field, ctx.n
-    lhs = TensorState(f, n, _QQ(ctx, i, i, j, j, coords)).scale(f.q_int(pij + 1))
-    rhs = TensorState(f, n, _QQ(ctx, j, j, i, i, coords)).scale(f.q_int(pij - 1))
+    lhs = State(f, n, _QQ(ctx, i, i, j, j, coords)).scale(f.q_int(pij + 1))
+    rhs = State(f, n, _QQ(ctx, j, j, i, i, coords)).scale(f.q_int(pij - 1))
     return "pass" if (lhs - rhs).is_empty() else "fail"
 
 

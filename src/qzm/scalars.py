@@ -185,7 +185,7 @@ class FieldSpec:
     """
 
     __slots__ = ("mode", "h", "degree", "modulus", "_red", "_qpow", "_qint",
-                 "_qfact", "zero", "one", "minus_one", "_mul", "_add", "_inv",
+                 "_qfact", "zero", "one", "_mul", "_add", "_inv",
                  "_mul_keys", "_add_keys", "_inv_keys")
 
     def __init__(self, mode, h=None):
@@ -229,7 +229,6 @@ class FieldSpec:
         self._inv_keys = deque()
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
-        self.minus_one = self.from_int(-1)
 
     def __repr__(self):
         if self.mode == ROOT:

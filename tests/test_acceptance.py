@@ -15,7 +15,7 @@ import pytest
 
 from qzm import bilinears as bl, cli, diagrams as dg, qalgebra as qa
 from qzm.basis import FockContext
-from qzm.fock import ChiralState, word_is_dead
+from qzm.fock import State, word_is_dead
 from qzm.reports import strip_timing
 from qzm.scalars import ROOT, make_field
 
@@ -92,7 +92,7 @@ def test_criterion_2_module_consistency(contexts, fprime_suite):
                 if sum(fc) != total:
                     continue
                 for inst in ctx.relation_instances(rc, fc):
-                    st = ChiralState(ctx.field, n, terms=inst.terms)
+                    st = State(ctx.field, n, terms=inst.terms)
                     if not ctx.is_zero_state(st):
                         failures.append((nk, rc, fc, inst.template))
         bb = ctx.block_basis((1,) * n, (1,) * n)
@@ -113,7 +113,7 @@ def test_criterion_2_module_consistency(contexts, fprime_suite):
             from qzm.fock import class_words
             zs = [z for z in class_words(n, *lower)][:4]
             for inst in determinant_rows(ctx.field, n, ctx.h, zs):
-                st = ChiralState(ctx.field, n, terms=inst.terms)
+                st = State(ctx.field, n, terms=inst.terms)
                 if not ctx.is_zero_state(st):
                     failures.append((nk, rc, fc, "determinant"))
     elapsed = time.perf_counter() - t0
@@ -256,7 +256,7 @@ def test_criterion_9_bilinear_suite(contexts, fprime_suite):
             while len(states) < 25:
                 w = bytes(rng.randrange(n * n) for _ in range(3))
                 if not word_is_dead(n, ctx.h, w):
-                    states.append(ChiralState(ctx.field, n, terms={w: ctx.field.one}))
+                    states.append(State(ctx.field, n, terms={w: ctx.field.one}))
             for s in states:
                 for i, j in [(1, 2)] + ([(1, 3)] if n == 3 else []):
                     for a, b in [(1, 2), (2, 1)]:

@@ -15,6 +15,7 @@ and brute force over the words is the oracle for ``live_count``.
 import hashlib
 import json
 import os
+import random
 from itertools import product
 
 import pytest
@@ -102,7 +103,7 @@ def word_level_reductions(ctx, key):
     words = [w for ws in _level_words(n, chain_levels(*key)) for w in ws
              if not word_is_dead(n, h, w)]
     index = {w: i for i, w in enumerate(words)}
-    rref, containing = {}, {}
+    rref = {}
     for inst in ctx.relation_instances(*key):
         row = {}
         for w, c in inst.terms.items():
@@ -111,7 +112,7 @@ def word_level_reductions(ctx, key):
                 row[j] = row[j] + c if j in row else c
         row = {j: c for j, c in row.items() if not c.is_zero()}
         if row:
-            _insert_row(row, rref, containing)
+            _insert_row(row, rref)
     out = {}
     for w, i in index.items():
         tail = rref.get(i)
@@ -201,9 +202,8 @@ def eliminate_chain_rows(ctx, key):
     levels = chain_levels(*key)
     columns, rows = chain_rows(ctx.field, ctx.n, ctx.h, key)
     rref = {}
-    containing = {}
     for row in rows:
-        _insert_row(row, rref, containing)
+        _insert_row(row, rref)
     return BlockBasis(key, ctx.field,
                       [w for j, w in enumerate(columns) if j not in rref],
                       {columns[j]: tuple((columns[t], s)
@@ -411,6 +411,33 @@ def test_blocks_keep_one_tail_per_pivot_coordinate(monkeypatch):
     assert all(not any(bb.rref.values()) for bb in zero)
     assert sum(len(bb.rref) for bb in blocks) == 300
     assert sum(bool(tail) for bb in blocks for tail in bb.rref.values()) == 158
+
+
+def _echelon_form(rows):
+    rref = {}
+    for row in rows:
+        _insert_row(dict(row), rref)
+    return rref
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (2, 7)])
+def test_echelon_form_ignores_row_order(monkeypatch, n, k):
+    """Inserting the ``chain_rows`` of fprime's largest blocks of nonzero
+    dimension in ascending order of their least column and in two shuffled
+    orders gives one reduced echelon form, whose tails name no pivot: each
+    new pivot is substituted into every tail that names it."""
+    ctx = fprime_context(monkeypatch, n, k)
+    blocks = sorted((bb for bb in ctx._blocks.values() if bb.dim),
+                    key=lambda bb: -bb.total_words)[:3]
+    for bb in blocks:
+        _, rows = chain_rows(ctx.field, n, ctx.h, bb.key)
+        rows = sorted(rows, key=min)
+        rref = _echelon_form(rows)
+        assert len(rref) > 1, bb.key
+        assert all(not tail.keys() & rref.keys() for tail in rref.values())
+        for seed in (1, 2):
+            random.Random(seed).shuffle(rows)
+            assert _echelon_form(rows) == rref, (bb.key, seed)
 
 
 def test_generic_blocks_match_word_level(gctx2):

@@ -3,14 +3,14 @@ import random
 import pytest
 
 from qzm import bilinears as bl, qalgebra as qa
-from qzm.fock import ChiralState, word_is_dead
+from qzm.fock import State, word_is_dead
 from qzm.scalars import UsageError
 
 
 def word_state(ctx, letters):
     from qzm.fock import word_from_letters
     w = word_from_letters(ctx.n, letters)
-    return ChiralState(ctx.field, ctx.n, terms={w: ctx.field.one})
+    return State(ctx.field, ctx.n, terms={w: ctx.field.one})
 
 
 def random_states(ctx, count, seed=11, letters=3):
@@ -19,7 +19,7 @@ def random_states(ctx, count, seed=11, letters=3):
     while len(out) < count:
         w = bytes(rng.randrange(ctx.n * ctx.n) for _ in range(letters))
         if not word_is_dead(ctx.n, ctx.h, w):
-            out.append(ChiralState(ctx.field, ctx.n, terms={w: ctx.field.one}))
+            out.append(State(ctx.field, ctx.n, terms={w: ctx.field.one}))
     return out
 
 
@@ -66,7 +66,7 @@ def test_dynamical_exchange_both_modes(ctx31, gctx3):
 def test_dynamical_exchange_rejects_mixed_weights(ctx21):
     f = ctx21.field
     from qzm.fock import word_from_letters
-    s = ChiralState(f, 2, terms={
+    s = State(f, 2, terms={
         word_from_letters(2, [(1, 1)]): f.one,
         word_from_letters(2, [(1, 1), (1, 2)]): f.one,
     })

@@ -12,7 +12,7 @@ import qzm.cache
 from qzm import cli
 from qzm.basis import BlockBasis, FockContext
 from qzm.cache import DiskCache, _canon_key, _decode_block, _digest
-from qzm.fock import ChiralState
+from qzm.fock import State
 from qzm.reports import strip_timing
 
 
@@ -605,6 +605,28 @@ def test_cache_validate_quarantines_non_object_record(tmp_path):
     assert (cache_dir / "bad.json.quarantined").exists()
 
 
+@pytest.mark.parametrize("header,value", [("field", 5), ("field", None),
+                                          ("n", "2"), ("n", 2.0)])
+def test_cache_validate_quarantines_mistyped_header(tmp_path, header, value):
+    """A record whose header ``n`` is no integer or whose ``field`` is no
+    string reads as invalid and is quarantined; the others still pass."""
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
+    ctx.block_basis((1, 1), (1, 1))
+    path = _block_file(cache_dir, ctx, ((1, 1), (1, 1)))
+    data = json.loads(open(path, encoding="utf-8").read())
+    data[header] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    code, report = run_cmd(["cache", "validate", "--cache-dir", cache_dir],
+                           tmp_path, name="val")
+    assert code == 0
+    rec = _record_of(report, path)
+    assert rec["result"] == "fail"
+    assert rec["detail"] == "quarantined"
+    assert os.path.exists(path + ".quarantined")
+
+
 def test_records_parse_one_file_at_a_time(tmp_path, monkeypatch):
     """``cache list`` and ``cache validate`` hold one parsed record at a
     time: ``records()`` reads a file only when the iteration reaches it."""
@@ -655,7 +677,7 @@ def test_zero_test_sees_a_corrupted_block():
     assert cli._sweep_all_zero(ctx, contents)[0]
     bb = ctx.block_basis((2, 1), (1, 2))
     lead, tail = next((j, t) for j, t in bb.rref.items() if t)
-    state = ChiralState(ctx.field, 2, terms=dict(
+    state = State(ctx.field, 2, terms=dict(
         [(bb.words[lead], ctx.field.one)]
         + [(bb.words[t], -s) for t, s in tail.items()]))
     assert ctx.is_zero_state(state)
@@ -666,7 +688,7 @@ def test_zero_test_sees_a_corrupted_block():
         b._red.clear()
     assert not cli._sweep_all_zero(ctx, contents)[0]
     assert not ctx.is_zero_state(state)
-    assert not ctx.is_zero_state(ChiralState.vacuum(ctx.field, 2))
+    assert not ctx.is_zero_state(State.vacuum(ctx.field, 2))
 
 
 def test_cache_purge(tmp_path):
@@ -736,10 +758,10 @@ def _benchmark_golden():
     return golden
 
 
-@pytest.mark.parametrize("key", ["fprime_n2k2", "fprime_n3k1", "checkw_n3k1",
-                                 "verify_algebra_n3k2"])
+@pytest.mark.parametrize("key", sorted(_benchmark_golden().load()))
 def test_reports_match_benchmark_golden(key, tmp_path):
-    """Verdicts and their digest match the benchmark's golden record."""
+    """Verdicts and their digest match the benchmark's golden record, for
+    every command that it holds."""
     golden = _benchmark_golden()
     entry = golden.load()[key]
     code, report = run_cmd(entry["argv"], tmp_path)

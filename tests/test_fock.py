@@ -13,7 +13,7 @@ import pytest
 
 from qzm import fock
 from qzm.basis import FockContext, class_size, quotient_basis
-from qzm.fock import (ChiralState, class_words, word_from_letters,
+from qzm.fock import (State, class_words, word_from_letters,
                       word_is_dead, word_row_content, word_sort_key)
 from qzm.qalgebra import apply_Q, tensor_vacuum
 from qzm.scalars import UsageError
@@ -70,7 +70,7 @@ def test_class_words_match_sorted_permutations(n, rc, fc):
 
 
 def test_apply_letter(ctx21):
-    vac = ChiralState.vacuum(ctx21.field, 2)
+    vac = State.vacuum(ctx21.field, 2)
     s = vac.apply_letter(1, 1)
     assert list(s.terms) == [word_from_letters(2, [(1, 1)])]
     # linearity and the weight shift of the new letter
@@ -80,11 +80,16 @@ def test_apply_letter(ctx21):
     assert p_diff(cnt, 1, 2) == p_diff(word_row_content(2, b""), 1, 2) + 1
 
 
-def test_state_canonical_form(ctx21):
+@pytest.mark.parametrize("key", [b"", (b"", b"")], ids=["word", "pair"])
+def test_state_canonical_form(ctx21, key):
+    """A state keyed by words or by (word, barred word) pairs drops zero
+    terms, and its repr names both words of a pair."""
     f = ctx21.field
-    s = ChiralState(f, 2, terms={b"": f.one})
+    s = State(f, 2, terms={key: f.one})
     assert (s - s).is_empty()
     assert s.scale(f.zero).is_empty()
+    assert (s + s - s).terms == s.terms
+    assert repr(s).count("|0>") == (2 if isinstance(key, tuple) else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +138,7 @@ def test_every_instance_reduces_to_zero(ctx21, ctx31, gctx2):
         (gctx2, (2, 1), (1, 2)),
     ]:
         for inst in ctx.relation_instances(rc, fc):
-            st = ChiralState(ctx.field, ctx.n, terms=inst.terms)
+            st = State(ctx.field, ctx.n, terms=inst.terms)
             assert ctx.is_zero_state(st), (rc, fc, inst.template)
 
 
@@ -157,7 +162,7 @@ def test_barred_templates_equal_unbarred():
     assert len(pairs) == 3
     for w, wb in pairs:
         assert w == wb
-        assert ctx.is_zero_state(ChiralState(ctx.field, 3,
+        assert ctx.is_zero_state(State(ctx.field, 3,
                                              terms={w: ctx.field.one}))
 
 
@@ -175,22 +180,22 @@ def test_vacuum_class_dimension_one(ctx21, ctx31):
 
 def test_h_power_word_reduces_to_zero(ctx22):
     w = word_from_letters(2, [(1, 1)] * 4)
-    st = ChiralState(ctx22.field, 2, terms={w: ctx22.field.one})
+    st = State(ctx22.field, 2, terms={w: ctx22.field.one})
     assert ctx22.is_zero_state(st)
 
 
 def test_annihilation(ctx21):
     for flavor in (1, 2):
-        s = ChiralState.vacuum(ctx21.field, 2).apply_letter(2, flavor)
+        s = State.vacuum(ctx21.field, 2).apply_letter(2, flavor)
         assert ctx21.is_zero_state(s)
-    assert not ctx21.is_zero_state(ChiralState.vacuum(ctx21.field, 2))
+    assert not ctx21.is_zero_state(State.vacuum(ctx21.field, 2))
 
 
 def test_reduce_idempotent_and_graded(ctx22):
     f = ctx22.field
     w1 = word_from_letters(2, [(2, 1), (1, 2)])
     w2 = word_from_letters(2, [(1, 1), (1, 2), (2, 2)])
-    s = ChiralState(f, 2, terms={w1: f.one, w2: f.q_power(1)})
+    s = State(f, 2, terms={w1: f.one, w2: f.q_power(1)})
     red = ctx22.reduce_state(s)
     assert ctx22.reduce_state(red).terms == red.terms
     # reduction moves only down the determinant chain
@@ -306,7 +311,7 @@ def test_reduction_coordinates_match_dense(ctx22):
     f = ctx22.field
     for _ in range(5):
         terms = {w: f.from_int(rng.randint(-3, 3)) for w in rng.sample(words, 3)}
-        s = ChiralState(f, 2, terms=terms)
+        s = State(f, 2, terms=terms)
         red = ctx22.reduce_state(s)
         # the reduced support lies in the quotient basis
         basis = set(ctx22.block_basis(rc, fc).basis_words) \
@@ -337,5 +342,5 @@ def test_reordering_soundness(ctx22):
     for rc, fc in [((2, 1), (2, 1)), ((2, 2), (2, 2))]:
         words = class_words(2, rc, fc)
         for inst in fock.exchange_rows(ctx22.field, 2, 4, words):
-            st = ChiralState(ctx22.field, 2, terms=inst.terms)
+            st = State(ctx22.field, 2, terms=inst.terms)
             assert ctx22.is_zero_state(st)

@@ -32,7 +32,7 @@ def test_phi8_and_phi6_frozen():
 def test_modulus_divides_and_degree(h):
     f = make_field(ROOT, h)
     # Phi_{2h} divides x^h + 1: q^h = -1 as a scalar identity
-    assert f.q_power(h) == f.minus_one
+    assert f.q_power(h) == -f.one
     assert f.q_power(2 * h) == f.one
     # degree is Euler's totient of 2h
     m = 2 * h
@@ -183,7 +183,7 @@ def _kernel_operands(f, rng):
             p = _poly_mul_int(p, rng.choice(factors))
         return p
 
-    out = [f.zero, f.one, f.minus_one, f.q_power(-2), f.from_fraction("-3/4")]
+    out = [f.zero, f.one, -f.one, f.q_power(-2), f.from_fraction("-3/4")]
     for _ in range(24):
         out.append(_make_generic(f, product(rng.randint(0, 3)),
                                  product(rng.randint(0, 3))))
@@ -286,7 +286,7 @@ def test_memo_keeps_fields_apart():
 @pytest.mark.parametrize("h", [5, None])
 def test_products_with_one_skip_the_memo(h):
     """x * one and one * x are x itself, with no memo entry; a product with
-    another field's one still raises, and -x is x * minus_one."""
+    another field's one still raises, and -x is x * -1."""
     f = make_field(GENERIC) if h is None else make_field(ROOT, h)
     x = f.q_int(3) + f.q_power(1)
     products = len(f._mul)
@@ -298,7 +298,7 @@ def test_products_with_one_skip_the_memo(h):
                 x * g.one
             with pytest.raises(UsageError):
                 g.one * x
-    assert -x == x * f.minus_one and -x != x
+    assert -x == x * f.from_int(-1) and -x != x
 
 
 @pytest.mark.parametrize("mode", [ROOT, GENERIC])
