@@ -11,9 +11,11 @@ a unit q^E times its class's representative, which ``class_rep`` computes
 in closed form.  A class dies with any of its words that ``word_is_dead``
 kills (R4, R6).  A block is built from its one-letter sub-blocks, with no
 word listed: it is the reduced echelon form of its relation rows over A,
-the letters times the sub-blocks' basis words (``build_block``), and a word
-reduces through its rep.  The certificate for a block built elsewhere is
-in qzm.certificate.
+the letters times the sub-blocks' basis words (``build_block``).  A word of
+A reads its reduction off that form, and any other word a v reduces as a
+times the sub-block's reduction of v, since the relations are a left
+ideal; no reduction needs a rep.  The certificate for a block built
+elsewhere is in qzm.certificate.
 
 The word order eliminates longer words toward shorter ones (so determinant
 chains rewrite downward and the vacuum stays a basis word); within one
@@ -195,11 +197,12 @@ class BlockBasis:
     {free coordinate: Scalar}, meaning the pivot's reduction, empty when
     that is zero.  The free coordinates are the ``basis_words``.
     ``live_words`` counts the words that are not ``word_is_dead``, dead
-    classes included.
+    classes included.  Each coordinate word's reduction is read off
+    ``rref`` once, at construction; every other word reduces through them.
     """
 
     __slots__ = ("key", "field", "subs", "words", "rref", "basis_words",
-                 "total_words", "live_words", "dim", "_index", "_red")
+                 "total_words", "live_words", "dim", "_coords")
 
     def __init__(self, key, field, subs, words, rref, total_words, live_words):
         self.key = key
@@ -211,27 +214,47 @@ class BlockBasis:
         self.total_words = total_words
         self.live_words = live_words
         self.dim = len(self.basis_words)
-        self._index = {w: j for j, w in enumerate(words)}
-        self._red = {}      # class rep -> its reduction
+        one = field.one
+        # coordinate word -> its reduction; a free coordinate is itself
+        self._coords = {
+            w: ((w, one),) if j not in rref else
+            tuple([(words[t], s) for t, s in sorted(rref[j].items())])
+            for j, w in enumerate(words)}
 
     def reduce_word(self, w, memo=None):
         """The word as a combination of basis words: a tuple of (word,
-        Scalar) in ``word_sort_key`` order, () when it is zero.  Its rep
-        a v maps to a (x) ``subs[a].reduce_word(v)``, which reduces through
-        ``rref``; reps are memoised per block.  ``memo`` is passed to
-        ``class_rep``."""
-        rep, e = class_rep(len(self.key[0]), w, memo)
-        red = self._red.get(rep)
+        Scalar) in ``word_sort_key`` order, () when it is zero.  A
+        coordinate word is one lookup; any other word a v is a (x)
+        ``subs[a].reduce_word(v)`` (``times``).  ``memo``, keyed by (block
+        key, word), holds the reductions of the words that are no
+        coordinate; its owner decides how long it lives."""
+        red = self._coords.get(w)
         if red is None:
-            row = _reduce_row(_image(self.subs, self._index,
-                                     ((rep, self.field.one),), memo), self.rref)
-            words = self.words
-            red = self._red[rep] = tuple([(words[j], s)
-                                          for j, s in sorted(row.items())])
-        if e and red:
-            unit = self.field.q_power(e)
-            red = tuple([(t, s * unit) for t, s in red])
+            memo = {} if memo is None else memo
+            red = memo.get((self.key, w))
+            if red is None:
+                a = w[0]
+                red = memo[self.key, w] = self.times(
+                    a, self.subs[a].reduce_word(w[1:], memo))
         return red
+
+    def times(self, a, red):
+        """The reduction of a v, given ``red``, the reduction of v over the
+        basis words of ``subs[a]``: each a beta is a coordinate, so this is
+        the sum of their reductions.  The relations are a left ideal, so
+        a v and a (x) red are equal in the quotient."""
+        coords, prefix = self._coords, bytes((a,))
+        if len(red) == 1:
+            [(t, s)] = red
+            return tuple([(u, s * c) for u, c in coords[prefix + t]])
+        acc = {}
+        for t, s in red:
+            for u, c in coords[prefix + t]:
+                sc = s * c
+                v = acc.get(u)
+                acc[u] = sc if v is None else v + sc
+        return tuple([(u, acc[u]) for u in sorted(acc, key=word_sort_key)
+                      if not acc[u].is_zero()])
 
 
 def _image(subs, index, terms, memo):
@@ -389,7 +412,7 @@ def build_block(ctx, row_content, flavor_content):
             for beta in lower.basis_words:
                 yield [(b + beta, c) for b, c in blocks] + [(beta, bare)]
 
-    rref, memo = {}, {}     # memo: class_rep's, per build
+    rref, memo = {}, {}     # memo: reduce_word's, per build
     for terms in rows() if words else ():
         if row := _image(subs, index, terms, memo):
             _insert_row(row, rref)
@@ -445,8 +468,7 @@ class FockContext:
         self.budget = budget
         self.disk_cache = disk_cache
         self._blocks = {}
-        self._wred = {}
-        self._classes = {}      # class_rep's memo for reduce_word
+        self._wred = {}         # word -> reduce_word's result
         self._live = {}         # live_count's memo for build_block
         # the R2/R3 swap units -q^e, e = eps(x, y)
         self._neg_q = {e: -self.field.q_power(e) for e in (-1, 0, 1)}
@@ -489,7 +511,10 @@ class FockContext:
     # -- reduction -----------------------------------------------------------
 
     def reduce_word(self, w):
-        """Reduced form of one word: tuple of (basis word, Scalar) pairs."""
+        """Reduced form of one word: tuple of (basis word, Scalar) pairs.
+        The word reduces in the block of its own content: a coordinate
+        word in one lookup, any other a v as a (x) ``reduce_word(v)``, v's
+        block being the sub-block of a (``BlockBasis.times``)."""
         red = self._wred.get(w)
         if red is not None:
             return red
@@ -498,7 +523,9 @@ class FockContext:
             red = ()
         else:
             bb = self.block_basis(word_row_content(n, w), word_flavor_content(n, w))
-            red = bb.reduce_word(w, self._classes)
+            red = bb._coords.get(w)
+            if red is None:
+                red = bb.times(w[0], self.reduce_word(w[1:]))
         self._wred[w] = red
         return red
 

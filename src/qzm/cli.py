@@ -467,11 +467,15 @@ COMMANDS = {
 }
 
 
-def _add_common(p, need_nk=True):
+def _add_common(p, need_nk=True, generic_q=False):
+    """The shared flags; ``--generic-q`` only where a command reads it."""
     if need_nk:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
+    if generic_q:
         p.add_argument("--generic-q", action="store_true", dest="generic_q")
+    else:
+        p.set_defaults(generic_q=False)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--samples", type=int, default=25)
     p.add_argument("--seed", type=int, default=1)
@@ -486,14 +490,15 @@ def build_parser():
         description="Exact verification engine for WZNW zero-mode algebras")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("enumerate", "verify-field", "verify-algebra", "fprime"):
+    for name in ("enumerate", "verify-field", "verify-algebra"):
         _add_common(sub.add_parser(name))
+    _add_common(sub.add_parser("fprime"), generic_q=True)
     p = sub.add_parser("check-w")
-    _add_common(p)
+    _add_common(p, generic_q=True)
     p.add_argument("--i", type=int, default=2, help="hook row index")
     p = sub.add_parser("cache")
     p.add_argument("cache_action", choices=["list", "validate", "purge"])
-    p.set_defaults(n=None, k=None, generic_q=False)
+    p.set_defaults(n=None, k=None)
     _add_common(p, need_nk=False)
     return ap
 

@@ -12,7 +12,7 @@ ones with m_1 <= k fill the narrower "unitary" (n-1) x k rectangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 from .scalars import UsageError
@@ -129,10 +129,8 @@ def is_unitary(y, k):
     return not y.parts or y.parts[0] <= k
 
 
-@dataclass(frozen=True)
-class GrowResult:
-    kind: str           # "diagram" or a violation label
-    diagram: YoungDiagram | None = None
+# kind: "diagram" or a violation label; diagram: the grown YoungDiagram
+GrowResult = namedtuple("GrowResult", "kind diagram", defaults=(None,))
 
 
 def grow(y, j, h):

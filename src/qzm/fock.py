@@ -36,7 +36,7 @@ fail a check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 
 from .scalars import UsageError
@@ -188,11 +188,9 @@ class State:
 # relation instances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RelationInstance:
-    template: str
-    terms: dict          # word bytes -> Scalar
-    position: int        # leftmost index of the window / split point
+# terms: word bytes -> Scalar; position: the window's leftmost index or the
+# split point
+RelationInstance = namedtuple("RelationInstance", "template terms position")
 
 
 def _arrangements(counts):

@@ -19,7 +19,7 @@ diagram's coordinates per context; ``vector_of_diagram`` stays free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections import namedtuple
 
 from . import diagrams as dg
 from .basis import RelationInconsistency
@@ -150,17 +150,17 @@ def diagram_coordinates(ctx, y):
     return coords
 
 
-@dataclass
-class DiagramRecord:
-    diagram: dg.YoungDiagram
-    nonzero: bool
-    unitary: bool
+DiagramRecord = namedtuple("DiagramRecord", "diagram nonzero unitary")
 
 
-@dataclass
 class FPrimeResult:
-    dimension: int
-    records: list = dc_field(default_factory=list)
+    """The dimension and one ``DiagramRecord`` per admissible diagram."""
+
+    __slots__ = ("dimension", "records")
+
+    def __init__(self, dimension, records=None):
+        self.dimension = dimension
+        self.records = [] if records is None else records
 
 
 def fprime_dimension(ctx):
@@ -195,13 +195,10 @@ GROWTH_IN_SPAN = "in_span"
 GROWTH_OUTSIDE = "outside"
 
 
-@dataclass
-class GrowthOutcome:
-    kind: str
-    target: dg.YoungDiagram | None = None
-    coefficient: object = None
-    prediction: str = "diagram"
-    coordinates: dict | None = None     # reduced coordinates of Q^j_j v
+# coordinates: the reduced coordinates of Q^j_j v
+GrowthOutcome = namedtuple(
+    "GrowthOutcome", "kind target coefficient prediction coordinates",
+    defaults=(None, None, "diagram", None))
 
 
 def _proportionality(coords, target_coords):

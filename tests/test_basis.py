@@ -27,6 +27,7 @@ from qzm.cache import DiskCache, _encode_word
 from qzm.certificate import (_alphabet, _live_reps, _reps_by_content,
                              chain_rows)
 from qzm.fock import class_words, word_from_letters, word_is_dead
+from qzm.reports import strip_timing
 
 
 def commutation_classes(n, h, words):
@@ -160,6 +161,42 @@ def test_fprime_blocks_match_word_level(monkeypatch, n, k):
     ctx = fprime_context(monkeypatch, n, k)
     assert ctx._blocks
     assert_blocks_match_word_level(ctx, list(ctx._blocks))
+
+
+def test_reductions_call_no_class_rep(monkeypatch, tmp_path):
+    """No reduction calls ``class_rep``: with it raising, three commands
+    give the reports of an unpatched run, after ``strip_timing``."""
+    commands = [["fprime", "--n", "3", "--k", "1"],
+                ["check-w", "--n", "3", "--k", "2", "--i", "2"],
+                ["verify-algebra", "--n", "2", "--k", "2"]]
+
+    def reports():
+        out = []
+        for argv in commands:
+            path = tmp_path / "report.json"
+            code = cli.run(argv + ["--format", "json", "--out", str(path)])
+            out.append((code, strip_timing(json.loads(path.read_text()))))
+        return out
+
+    expected = reports()
+
+    def refuse(*args):
+        raise AssertionError("class_rep called")
+
+    monkeypatch.setattr(basis, "class_rep", refuse)
+    assert reports() == expected
+
+
+@pytest.mark.parametrize("n,k", [(3, 1), (2, 7)])
+def test_context_reduces_as_its_blocks(monkeypatch, n, k):
+    """The context reduces a v as a times its memoised reduction of v; each
+    live word of every block's top content reduces as the block reduces
+    it."""
+    ctx = fprime_context(monkeypatch, n, k)
+    for key, bb in list(ctx._blocks.items()):
+        for w in class_words(n, *key):
+            if not word_is_dead(n, ctx.h, w):
+                assert ctx.reduce_word(w) == bb.reduce_word(w), (key, w)
 
 
 class BlockBasis:

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -669,9 +671,10 @@ def test_cold_fprime_n3k1_cache_is_pinned(tmp_path):
 
 
 def test_zero_test_sees_a_corrupted_block():
-    """The relation sweep and ``is_zero_state`` read the stored echelon
-    forms, so one altered tail scalar fails the sweep, and the pivot minus
-    its true tail, zero before, reads nonzero."""
+    """The relation sweep and ``is_zero_state`` read the blocks' echelon
+    forms, so a block made anew from its echelon form with one altered
+    tail scalar fails the sweep, and the pivot minus its true tail, zero
+    before, reads nonzero."""
     ctx = FockContext(2, 2)
     contents = cli._sweep_contents(2, 4)
     assert cli._sweep_all_zero(ctx, contents)[0]
@@ -682,10 +685,11 @@ def test_zero_test_sees_a_corrupted_block():
         + [(bb.words[t], -s) for t, s in tail.items()]))
     assert ctx.is_zero_state(state)
     (t, s), *rest = tail.items()
-    bb.rref[lead] = {t: s + ctx.field.one, **dict(rest)}
+    ctx._blocks[bb.key] = BlockBasis(
+        bb.key, bb.field, bb.subs, bb.words,
+        {**bb.rref, lead: {t: s + ctx.field.one, **dict(rest)}},
+        bb.total_words, bb.live_words)
     ctx._wred.clear()       # reductions memoised before the change
-    for b in ctx._blocks.values():
-        b._red.clear()
     assert not cli._sweep_all_zero(ctx, contents)[0]
     assert not ctx.is_zero_state(state)
     assert not ctx.is_zero_state(State.vacuum(ctx.field, 2))
@@ -738,6 +742,41 @@ def test_generic_check_w_keeps_its_skipped_record(tmp_path):
                            tmp_path)
     assert code == 0
     assert [c["result"] for c in report["checks"]] == ["skipped"]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "verify-field",
+                                     "verify-algebra"])
+def test_stray_generic_q_is_a_usage_error(command, tmp_path, capsys):
+    """Only fprime and check-w read --generic-q: every other command
+    rejects it before any work runs, and echoes generic_q false."""
+    argv = [command, "--n", "2", "--k", "1"]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + ["--generic-q"])
+    assert exc.value.code == 2
+    assert "--generic-q" in capsys.readouterr().err
+    _, report = run_cmd(argv, tmp_path)
+    assert report["config"]["generic_q"] is False
+
+
+@pytest.mark.parametrize("command", ["fprime", "check-w"])
+def test_generic_q_is_echoed_where_it_is_read(command, tmp_path):
+    code, report = run_cmd([command, "--n", "3", "--k", "1", "--generic-q"],
+                           tmp_path)
+    assert code == 0
+    assert report["config"]["generic_q"] is True
+    assert [c["result"] for c in report["checks"]] == ["skipped"]
+
+
+def test_import_qzm_loads_no_dataclasses():
+    """``import qzm`` stays cheap: its records are namedtuples or slotted
+    classes, so the dataclasses module is not loaded."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, qzm; print('dataclasses' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_exploratory_runs_never_fail_exit(tmp_path):
