@@ -225,36 +225,34 @@ class BlockBasis:
         """The word as a combination of basis words: a tuple of (word,
         Scalar) in ``word_sort_key`` order, () when it is zero.  A
         coordinate word is one lookup; any other word a v is a (x)
-        ``subs[a].reduce_word(v)`` (``times``).  ``memo``, keyed by (block
-        key, word), holds the reductions of the words that are no
-        coordinate; its owner decides how long it lives."""
+        ``subs[a].reduce_word(v)``, a sum of the coordinates a beta's
+        reductions, as the relations are a left ideal.  ``memo`` holds the
+        other words' reductions, keyed by the word at the top level (its
+        own content) and by (block key, word) below; its owner, such as
+        the context (``_wred``), decides how long it lives."""
         red = self._coords.get(w)
+        if red is not None:
+            return red
+        memo = {} if memo is None else memo
+        mkey = w if len(w) == sum(self.key[0]) else (self.key, w)
+        red = memo.get(mkey)
         if red is None:
-            memo = {} if memo is None else memo
-            red = memo.get((self.key, w))
-            if red is None:
-                a = w[0]
-                red = memo[self.key, w] = self.times(
-                    a, self.subs[a].reduce_word(w[1:], memo))
+            coords, prefix = self._coords, w[:1]
+            sub = self.subs[w[0]].reduce_word(w[1:], memo)
+            if len(sub) == 1:
+                [(t, s)] = sub
+                red = tuple([(u, s * c) for u, c in coords[prefix + t]])
+            else:
+                acc = {}
+                for t, s in sub:
+                    for u, c in coords[prefix + t]:
+                        sc = s * c
+                        v = acc.get(u)
+                        acc[u] = sc if v is None else v + sc
+                red = tuple([(u, acc[u]) for u in sorted(acc, key=word_sort_key)
+                             if not acc[u].is_zero()])
+            memo[mkey] = red
         return red
-
-    def times(self, a, red):
-        """The reduction of a v, given ``red``, the reduction of v over the
-        basis words of ``subs[a]``: each a beta is a coordinate, so this is
-        the sum of their reductions.  The relations are a left ideal, so
-        a v and a (x) red are equal in the quotient."""
-        coords, prefix = self._coords, bytes((a,))
-        if len(red) == 1:
-            [(t, s)] = red
-            return tuple([(u, s * c) for u, c in coords[prefix + t]])
-        acc = {}
-        for t, s in red:
-            for u, c in coords[prefix + t]:
-                sc = s * c
-                v = acc.get(u)
-                acc[u] = sc if v is None else v + sc
-        return tuple([(u, acc[u]) for u in sorted(acc, key=word_sort_key)
-                      if not acc[u].is_zero()])
 
 
 def _image(subs, index, terms, memo):
@@ -312,27 +310,30 @@ def _live_tails(n, h, rc, fc, last, run, memo):
     return out
 
 
-def _sub_block(ctx, content, a, times=1):
-    """The block of the content less ``times`` letters a, or None."""
-    (r, f), (i, b) = content, divmod(a, ctx.n)
-    if min(r[i], f[b]) < times:
-        return None
-    content = (r[:i] + (r[i] - times,) + r[i + 1:],
-               f[:b] + (f[b] - times,) + f[b + 1:])
-    return ctx._blocks.get(content) or ctx.block_basis(*content)
-
-
 def block_coordinates(ctx, key):
     """(subs, words) of the block chain ``key``, as ``BlockBasis`` keeps
-    them: the sub-blocks, got through ``ctx.block_basis``, and A's
-    coordinate words in ``word_sort_key`` order."""
-    subs = {a: sb for a in range(ctx.n * ctx.n)
-            if (sb := _sub_block(ctx, key, a))}
+    them: the one-letter sub-blocks, got through ``ctx.block_basis``, and
+    A's coordinate words in ``word_sort_key`` order."""
+    (r, f), n = key, ctx.n
+    subs = {}
+    for a in range(n * n):
+        i, b = divmod(a, n)
+        if r[i] and f[b]:
+            subs[a] = ctx.block_basis(r[:i] + (r[i] - 1,) + r[i + 1:],
+                                      f[:b] + (f[b] - 1,) + f[b + 1:])
     words = [bytes((a,)) + w for a, sb in subs.items() for w in sb.basis_words]
     if not sum(chain_levels(*key)[-1][0]):
         words.append(b"")
     words.sort(key=word_sort_key)
     return subs, words
+
+
+def chain_sizes(ctx, key):
+    """(total_words, live_words) of the block chain ``key``, in closed form
+    (``class_size``, ``live_count``)."""
+    levels = chain_levels(*key)
+    return (sum(class_size(r, f) for r, f in levels),
+            sum(live_count(ctx.n, ctx.h, r, f, ctx._live) for r, f in levels))
 
 
 def build_block(ctx, row_content, flavor_content):
@@ -389,19 +390,20 @@ def build_block(ctx, row_content, flavor_content):
         neg_q = ctx._neg_q
         for x, sx in subs.items():
             xi, xa = divmod(x, n)
-            for y in subs:
+            for y, sub in sx.subs.items():
                 yi, ya = divmod(y, n)
                 swap = xi == yi or xa == ya
-                if y == x or swap and y < x or not (
-                        sub := _sub_block(ctx, sx.key, y)) or not sub.dim:
+                if y == x or swap and y < x or not sub.dim:
                     continue
                 pairs = (exchange_terms(field, n, x, y, sub.key[0]) if not swap
                          else ((bytes((x, y)), one),
                                (bytes((y, x)), neg_q[epsilon(xa, ya)])))
                 for beta in sub.basis_words:
                     yield [(p + beta, c) for p, c in pairs]
-            sub = _sub_block(ctx, key, x, h) if h else None
-            for beta in sub.basis_words if sub else ():
+            low = sx if h else None     # R4: chain(c - h x), h - 1 below sx
+            for _ in range(h - 1 if h else 0):
+                low = low and low.subs.get(x)
+            for beta in low.basis_words if low else ():
                 yield [(bytes((x,)) * h + beta, one)]
             if x >= n and sx.basis_words[-1:] == [b""]:
                 yield [(bytes((x,)), one)]
@@ -418,9 +420,7 @@ def build_block(ctx, row_content, flavor_content):
             _insert_row(row, rref)
             if len(rref) == len(words):
                 break
-    bb = BlockBasis(key, field, subs, words, rref,
-                    sum(class_size(r, f) for r, f in levels),
-                    sum(live_count(n, h, r, f, ctx._live) for r, f in levels))
+    bb = BlockBasis(key, field, subs, words, rref, *chain_sizes(ctx, key))
     if b"" in index and bb.basis_words[-1:] != [b""]:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")
@@ -512,21 +512,19 @@ class FockContext:
 
     def reduce_word(self, w):
         """Reduced form of one word: tuple of (basis word, Scalar) pairs.
-        The word reduces in the block of its own content: a coordinate
-        word in one lookup, any other a v as a (x) ``reduce_word(v)``, v's
-        block being the sub-block of a (``BlockBasis.times``)."""
+        A dead word is zero; any other reduces in the block of its own
+        content with ``_wred`` as memo (``BlockBasis.reduce_word``), so
+        that ``_wred`` holds each word once, keyed by the word."""
         red = self._wred.get(w)
-        if red is not None:
-            return red
-        n = self.n
-        if word_is_dead(n, self.h, w):
-            red = ()
-        else:
-            bb = self.block_basis(word_row_content(n, w), word_flavor_content(n, w))
-            red = bb._coords.get(w)
-            if red is None:
-                red = bb.times(w[0], self.reduce_word(w[1:]))
-        self._wred[w] = red
+        if red is None:
+            n = self.n
+            if word_is_dead(n, self.h, w):
+                red = ()
+            else:
+                bb = self.block_basis(word_row_content(n, w),
+                                      word_flavor_content(n, w))
+                red = bb.reduce_word(w, self._wred)
+            self._wred[w] = red
         return red
 
     def reduce_terms(self, terms):

@@ -12,8 +12,9 @@ order.  Loading rebuilds the coordinates from the sub-blocks, got through
 ``FockContext.block_basis``.  A file that cannot be read or decoded, or
 whose header or checksum does not match the requesting context (other
 relations included), or whose record is no reduced echelon form over those
-coordinates with live class reps as basis words, is a miss, so the block
-is rebuilt.  Validation quarantines a record unless it also equals a fresh
+coordinates with live class reps as basis words, or that states sizes
+other than those the key and the basis give, is a miss, so the block is
+rebuilt.  Validation quarantines a record unless it also equals a fresh
 build that passes the exact certificate `FockContext.certify`, which alone
 would pass a record with an extra pivot.
 
@@ -32,7 +33,8 @@ import json
 import os
 import tempfile
 
-from .basis import BlockBasis, FockContext, block_coordinates, class_rep
+from .basis import (BlockBasis, FockContext, block_coordinates, chain_sizes,
+                    class_rep)
 from .fock import (RELATIONS, eps_tag, word_from_letters, word_is_dead,
                    word_letters)
 
@@ -104,8 +106,9 @@ def _encode_block(ctx, bb):
 def _decode_block(ctx, key, record):
     """The stored block over the coordinates its sub-blocks give;
     ValueError when a word is no coordinate or is listed twice, when a
-    basis word is no live class rep, or when a lead is a basis word, or
-    its tail is empty or names a word that is not a basis word."""
+    basis word is no live class rep, when a lead is a basis word, or its
+    tail is empty or names a word that is not a basis word, or when a size
+    the record states is not the one the key and the basis give."""
     n, field = ctx.n, ctx.field
     subs, words = block_coordinates(ctx, key)
     index = {w: j for j, w in enumerate(words)}
@@ -130,8 +133,11 @@ def _decode_block(ctx, key, record):
         if class_rep(n, words[j], memo)[0] != words[j] or word_is_dead(
                 n, ctx.h, words[j]):
             raise ValueError(f"basis word {words[j].hex()} is no live rep")
-    return BlockBasis(key, field, subs, words, rref, record["total_words"],
-                      record["live_words"])
+    bb = BlockBasis(key, field, subs, words, rref, *chain_sizes(ctx, key))
+    if any(record[k] != getattr(bb, k)
+           for k in ("total_words", "live_words", "dim")):
+        raise ValueError("a size the record states is not the block's")
+    return bb
 
 
 def _read_json(path):

@@ -74,12 +74,19 @@ class Checker:
 # ---------------------------------------------------------------------------
 
 def cmd_enumerate(cfg, ck):
+    """The admissible diagrams and checks on them, or, when the closed-form
+    count exceeds ``--budget``, one budget record and nothing listed."""
     n, h, k = cfg.n, cfg.h, cfg.k
+    closed = dg.count_diagrams(n, h)
+    if closed > cfg.budget:
+        ck.run("enumerate", {"n": n, "h": h, "closed_form": closed}, DERIVED,
+               lambda: (BUDGET, {"detail": f"{closed} diagrams, over the "
+                                           f"budget of {cfg.budget}"}))
+        return
     listed = dg.enumerate_diagrams(n, h)
     for y in listed:
         ck.run("diagram", y.to_record(k), DERIVED,
                lambda: (True, {"detail": dg.render(y).replace("\n", " / ")}))
-    closed = dg.count_diagrams(n, h)
     ck.run("count_matches_closed_form",
            {"n": n, "h": h, "enumerated": len(listed), "closed_form": closed},
            DOCUMENTED if n == 2 else DERIVED,

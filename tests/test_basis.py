@@ -199,6 +199,50 @@ def test_context_reduces_as_its_blocks(monkeypatch, n, k):
                 assert ctx.reduce_word(w) == bb.reduce_word(w), (key, w)
 
 
+def test_context_asks_for_one_block_per_miss(monkeypatch):
+    """A ``_wred`` miss on a live word that is no coordinate of its block
+    asks the context for that one block: the suffixes reduce through the
+    block's ``subs``, not through ``block_basis``."""
+    ctx = command_contexts(monkeypatch, ["verify-algebra", "--n", "3",
+                                         "--k", "2"])[0]
+    n = ctx.n
+    key, bb, w = next((key, bb, w) for key, bb in ctx._blocks.items()
+                      for w in class_words(n, *key)
+                      if not word_is_dead(n, ctx.h, w) and w not in bb._coords)
+    assert w not in bb._coords
+    ctx._wred.clear()
+    asked = []
+    real = ctx.block_basis
+
+    def block_basis(*content):
+        asked.append(content)
+        return real(*content)
+
+    monkeypatch.setattr(ctx, "block_basis", block_basis)
+    assert ctx.reduce_word(w) == bb.reduce_word(w)
+    assert asked == [key]
+
+
+def test_subs_are_the_context_blocks(monkeypatch, tmp_path):
+    """Every block's ``subs[a]`` is the object the context holds for the
+    content c - a, whether the blocks were built (a cold ``fprime`` run)
+    or loaded (a warm one, from that run's cache)."""
+    argv = ["fprime", "--n", "3", "--k", "1", "--cache-dir", str(tmp_path)]
+    cold = command_contexts(monkeypatch, argv)
+    warm = command_contexts(monkeypatch, argv)
+    assert warm[0].stats["blocks_built"] == 0 < warm[0].stats["blocks_loaded"]
+    for ctx in cold + warm:
+        n = ctx.n
+        for (r, f), bb in ctx._blocks.items():
+            assert bb.subs.keys() == {a for a in range(n * n)
+                                      if r[a // n] and f[a % n]}
+            for a, sub in bb.subs.items():
+                i, b = divmod(a, n)
+                less = (r[:i] + (r[i] - 1,) + r[i + 1:],
+                        f[:b] + (f[b] - 1,) + f[b + 1:])
+                assert sub is ctx._blocks[less], ((r, f), a)
+
+
 class BlockBasis:
     """A block in class coordinates, as the oracles record it: its basis
     words, and each other live rep of the chain with its reduction, a tuple

@@ -34,6 +34,22 @@ def test_enumerate_cmd(tmp_path):
     assert report["summary"]["fail"] == 0
 
 
+def test_enumerate_honours_budget(tmp_path):
+    """Over the budget, enumerate lists nothing: one budget record, exit
+    status 0.  At (n, k) = (3, 2) the closed form counts 11 diagrams."""
+    code, report = run_cmd(["enumerate", "--n", "3", "--k", "2",
+                            "--budget", "5"], tmp_path)
+    assert code == 0
+    [rec] = report["checks"]
+    assert rec["result"] == "budget"
+    assert rec["params"] == {"n": 3, "h": 5, "closed_form": 11}
+    assert rec["detail"] == "11 diagrams, over the budget of 5"
+    code, report = run_cmd(["enumerate", "--n", "3", "--k", "2",
+                            "--budget", "11"], tmp_path, name="at_budget")
+    assert code == 0
+    assert [c["name"] for c in report["checks"]].count("diagram") == 11
+
+
 def test_verify_field_cmd(tmp_path):
     for k in (1, 2, 3, 4, 5, 6):
         code, report = run_cmd(["verify-field", "--n", "2", "--k", str(k)],
@@ -406,14 +422,17 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
 @pytest.mark.parametrize("damage", ["tail_names_a_pivot",
                                     "lead_is_a_basis_word", "lead_repeated",
                                     "basis_word_repeated", "empty_tail",
-                                    "word_is_no_coordinate"])
+                                    "word_is_no_coordinate",
+                                    "total_words_not_a_number",
+                                    "live_words_negative", "dim_wrong"])
 def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
     """A checksummed record that is not a reduced echelon form over A: a
     tail names another pivot, not a basis word (a reduction through it
     would stop at that pivot), or a lead is a basis word too, or a lead or
     a basis word is listed twice, or a row has the empty tail, which a
-    record leaves implicit, or a tail names a word that is no coordinate.
-    The load rejects it, so the block is rebuilt, and validation
+    record leaves implicit, or a tail names a word that is no coordinate;
+    or a record whose stated sizes are not those the key and the basis
+    give.  The load rejects it, so the block is rebuilt, and validation
     quarantines the file."""
     cache_dir = str(tmp_path / "cache")
     ctx = FockContext(2, 2, disk_cache=DiskCache(cache_dir))
@@ -434,6 +453,12 @@ def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
         tail.clear()
     elif damage == "word_is_no_coordinate":
         tail[0][0] = [[1, 1]]
+    elif damage == "total_words_not_a_number":
+        record["total_words"] = "lots"
+    elif damage == "live_words_negative":
+        record["live_words"] = -7
+    elif damage == "dim_wrong":
+        record["dim"] = 99
     else:
         record["basis"].append(record["basis"][0])
     data["sha256"] = _digest(record)
