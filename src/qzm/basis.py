@@ -358,7 +358,8 @@ def build_block(ctx, row_content, flavor_content):
       R1/R2/R3  x y beta, x != y, in chain(c - x - y): ``exchange_terms``,
                 x y - y x, or x y - q^eps(x, y) y x; R2/R3 only for x < y,
                 as eps is antisymmetric, so y x - q^eps(y, x) x y is
-                -q^eps(y, x) times x y - q^eps(x, y) y x
+                -q^eps(y, x) times x y - q^eps(x, y) y x; R1 only for the
+                diagonal windows, (row x < row y) == (flavor x < flavor y)
       R4        a^h beta, in chain(c - h a) (root mode)
       R5        the ``determinant_blocks`` b beta plus ``determinant_bare``
                 times beta, in chain(levels[1])
@@ -375,6 +376,22 @@ def build_block(ctx, row_content, flavor_content):
     coordinates a beta whose words are dead.  Of the 284 blocks up to 8
     letters at (n, k) = (2, 1), 61 kept a dead coordinate free without R4,
     ((3, 0), (3, 0)) among them, and 58 without R6, ((0, 1), (0, 1)) first.
+
+    Why two R1 windows of four suffice: for rows r < s and flavors a < b,
+    the four words W1 = (r,a)(s,b), W2 = (s,b)(r,a), W3 = (s,a)(r,b) and
+    W4 = (r,b)(s,a) carry four R1 windows with the same suffix beta, so
+    with the same P = p_r - p_s (read off ``sub.key[0]``: a determinant
+    level below keeps every weight difference).  With [m] the q-integers,
+    the diagonal windows W1 and W2 give the rows
+      D1 = -[P+1] W1 + [P] W2 + q^-P W3,  D2 = -[P] W1 + [P-1] W2 + q^-P W4,
+    and the anti-diagonal windows W3 and W4 the rows
+      A1 = q^P W1 + [P-1] W3 - [P] W4,    A2 = q^P W2 + [P] W3 - [P+1] W4,
+    all times beta.  So (A1, A2) = q^P M (D1, D2) with M = [[ [P-1], -[P] ],
+    [ [P], -[P+1] ]], and det M = [P]^2 - [P-1][P+1] = 1 in Z[q, 1/q], so
+    in both fields.  The anti-diagonal rows are in the span of the diagonal
+    ones, for every beta; the span, and with it the unique reduced echelon
+    form, is unchanged.  ``qzm.certificate.chain_rows`` keeps all four
+    windows, so ``certify`` checks this independently.
 
     The rows stop once every coordinate is a pivot: the fully reduced
     tails then hold nothing and the quotient is zero.
@@ -393,7 +410,8 @@ def build_block(ctx, row_content, flavor_content):
             for y, sub in sx.subs.items():
                 yi, ya = divmod(y, n)
                 swap = xi == yi or xa == ya
-                if y == x or swap and y < x or not sub.dim:
+                if y == x or not sub.dim or (
+                        y < x if swap else (xi < yi) != (xa < ya)):
                     continue
                 pairs = (exchange_terms(field, n, x, y, sub.key[0]) if not swap
                          else ((bytes((x, y)), one),
@@ -409,10 +427,11 @@ def build_block(ctx, row_content, flavor_content):
                 yield [(bytes((x,)), one)]
         lower = ctx.block_basis(*levels[1]) if len(levels) > 1 else None
         if lower and lower.dim:
-            blocks = determinant_blocks(field, n)
+            if ctx._det is None:
+                ctx._det = determinant_blocks(field, n)
             bare = determinant_bare(field, n, levels[1][0])
             for beta in lower.basis_words:
-                yield [(b + beta, c) for b, c in blocks] + [(beta, bare)]
+                yield [(b + beta, c) for b, c in ctx._det] + [(beta, bare)]
 
     rref, memo = {}, {}     # memo: reduce_word's, per build
     for terms in rows() if words else ():
@@ -472,6 +491,7 @@ class FockContext:
         self._live = {}         # live_count's memo for build_block
         # the R2/R3 swap units -q^e, e = eps(x, y)
         self._neg_q = {e: -self.field.q_power(e) for e in (-1, 0, 1)}
+        self._det = None        # determinant_blocks, made by the first R5 row
         self._diagrams = {}     # qalgebra.diagram_coordinates, by parts
         self.stats = {"blocks_built": 0, "max_block_words": 0,
                       "blocks_loaded": 0}

@@ -290,14 +290,23 @@ def cmd_verify_algebra(cfg, ck):
 # ---------------------------------------------------------------------------
 
 def cmd_fprime(cfg, ck):
+    """The F' checks on the admissible diagrams, listed once, or, when the
+    closed-form count exceeds ``--budget``, one budget record and nothing
+    listed."""
     if cfg.generic_q:
         ck.run("fprime", {"n": cfg.n, "k": cfg.k}, DERIVED,
                lambda: (SKIPPED, {"detail": "root-of-unity statement; generic "
                                             "mode has no finite diagram space"}))
         return
-    ctx = _context(cfg, generic=False)
     n, k, h = cfg.n, cfg.k, cfg.h
     expected = dg.count_diagrams(n, h)
+    prov = DOCUMENTED if n == 2 else DERIVED
+    if expected > cfg.budget:
+        ck.run("fprime_dimension", {"n": n, "k": k, "h": h, "expected": expected},
+               prov, lambda: (BUDGET, {"detail": f"{expected} diagrams, over "
+                                                 f"the budget of {cfg.budget}"}))
+        return
+    ctx = _context(cfg, generic=False)
     res = None
 
     def dimension():
@@ -307,25 +316,26 @@ def cmd_fprime(cfg, ck):
             "params": {"h": h, "expected": expected},
             "sizes": {"dimension": res.dimension}}
 
-    if ck.run("fprime_dimension", {"n": n, "k": k},
-              DOCUMENTED if n == 2 else DERIVED, dimension).result == BUDGET:
+    if ck.run("fprime_dimension", {"n": n, "k": k}, prov,
+              dimension).result == BUDGET:
         return
+    diagrams = [r.diagram for r in res.records]
     for r in res.records:
         ck.run("diagram_vector_nonzero",
                {"parts": list(r.diagram.parts), "unitary": r.unitary},
                DOCUMENTED, lambda: r.nonzero)
 
-    for y in dg.enumerate_diagrams(n, h):
+    for y in diagrams:
         for j in range(1, n + 1):
             ck.run("growth", {"parts": list(y.parts), "j": j}, DOCUMENTED,
                    lambda: _growth(ctx, y, j))
 
-    for y in dg.enumerate_diagrams(n, h):
+    for y in diagrams:
         ck.run("offdiagonal_annihilation", {"parts": list(y.parts)}, DOCUMENTED,
                lambda: qa.check_offdiagonal_annihilation(ctx, y))
 
     # dynamical commutation on small diagram vectors
-    smalls = [y for y in dg.enumerate_diagrams(n, h) if y.boxes <= 2]
+    smalls = [y for y in diagrams if y.boxes <= 2]
     for y in smalls:
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):

@@ -251,9 +251,13 @@ def exchange_rows(field, n, h, words):
     These per-word instances serve the verify-algebra sweeps and the test
     oracles.  Block builds (``qzm.basis.build_block``) and their certificate
     (``qzm.certificate.chain_rows``) list no words and do not call this.
+    The coefficients are made once per call: an R1 window's three depend
+    only on (x, y, p_ij), the R2 and R3 units only on eps.
     """
-    qpow = field.q_power
     one = field.one
+    neg_one = -one
+    neg_q = {e: -field.q_power(e) for e in (-1, 1)}
+    r1 = {}             # (x, y, p_ij) -> exchange_terms
     for w in words:
         N = len(w)
         if N < 2 or w[-1] < n:
@@ -271,17 +275,20 @@ def exchange_rows(field, n, h, words):
             yi, ya = y // n, y % n
             if xi != yi:
                 if xa != ya:
+                    key = (x, y, p_diff(cnt, yi + 1, xi + 1))
+                    pairs = r1.get(key)
+                    if pairs is None:
+                        pairs = r1[key] = exchange_terms(field, n, x, y, cnt)
                     # the three words are pairwise distinct here
-                    terms = {w[:p] + pair + w[p + 2:]: c
-                             for pair, c in exchange_terms(field, n, x, y, cnt)}
+                    terms = {w[:p] + pair + w[p + 2:]: c for pair, c in pairs}
                     yield RelationInstance(TEMPLATE_EXCHANGE, terms, p)
                 else:
                     w2 = w[:p] + bytes((y, x)) + w[p + 2:]
-                    yield RelationInstance(TEMPLATE_COMMUTE, {w: one, w2: -one}, p)
+                    yield RelationInstance(TEMPLATE_COMMUTE, {w: one, w2: neg_one}, p)
             elif xa != ya:
                 w2 = w[:p] + bytes((y, x)) + w[p + 2:]
                 yield RelationInstance(
-                    TEMPLATE_FLAVOR_SWAP, {w: one, w2: -qpow(epsilon(xa, ya))}, p)
+                    TEMPLATE_FLAVOR_SWAP, {w: one, w2: neg_q[epsilon(xa, ya)]}, p)
             cnt[yi] += 1
 
 

@@ -347,10 +347,11 @@ def test_builds_use_no_chain_rows(monkeypatch):
 
 
 def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
-    """Every block of fprime (3,1), built in a fresh context, takes 628
-    ``_insert_row`` calls in all: R2/R3 rows in one order only, no row once
-    the quotient is zero, and no row for a pair whose sub-block has no
-    basis word."""
+    """Every block of fprime (3,1), built in a fresh context, takes 453
+    ``_insert_row`` calls in all: R2/R3 rows in one order only, R1 rows for
+    the diagonal windows only, (row x < row y) == (flavor x < flavor y), no
+    row once the quotient is zero, and no row for a pair whose sub-block
+    has no basis word."""
     keys = list(fprime_context(monkeypatch, 3, 1)._blocks)
     building = []           # the builds in progress, innermost last
     calls = {}              # key -> _insert_row calls
@@ -374,7 +375,7 @@ def test_builds_insert_only_rows_that_can_add_a_pivot(monkeypatch):
     for key in keys:
         ctx.block_basis(*key)
     assert len(calls) == ctx.stats["blocks_built"] == len(keys)
-    assert sum(calls.values()) == 628
+    assert sum(calls.values()) == 453
 
 
 def per_word_certificate(ctx, bb):

@@ -11,6 +11,7 @@ from itertools import product
 import pytest
 
 import qzm.cache
+import qzm.diagrams
 from qzm import cli
 from qzm.basis import BlockBasis, FockContext
 from qzm.cache import DiskCache, _canon_key, _decode_block, _digest
@@ -48,6 +49,39 @@ def test_enumerate_honours_budget(tmp_path):
                             "--budget", "11"], tmp_path, name="at_budget")
     assert code == 0
     assert [c["name"] for c in report["checks"]].count("diagram") == 11
+
+
+def test_fprime_honours_budget(tmp_path, monkeypatch):
+    """Over the budget, fprime lists no diagram: one budget record, exit
+    status 0.  At (n, k) = (8, 40) the closed form counts 75 358 720
+    diagrams, over the default budget."""
+    def listing(n, h):
+        raise AssertionError("fprime listed the diagrams")
+
+    monkeypatch.setattr(qzm.diagrams, "enumerate_diagrams", listing)
+    code, report = run_cmd(["fprime", "--n", "8", "--k", "40"], tmp_path)
+    assert code == 0
+    [rec] = report["checks"]
+    assert rec["name"] == "fprime_dimension"
+    assert rec["result"] == "budget"
+    assert rec["params"] == {"n": 8, "k": 40, "h": 48, "expected": 75358720}
+    assert rec["detail"] == "75358720 diagrams, over the budget of 100000"
+
+
+def test_fprime_lists_the_diagrams_once(tmp_path, monkeypatch):
+    """The dimension scan lists the diagrams, and the growth, annihilation
+    and commutation checks reuse its list: 7 diagrams at (3, 1)."""
+    calls = []
+
+    def listing(n, h):
+        calls.append((n, h))
+        return real(n, h)
+
+    real = qzm.diagrams.enumerate_diagrams
+    monkeypatch.setattr(qzm.diagrams, "enumerate_diagrams", listing)
+    code, report = run_cmd(["fprime", "--n", "3", "--k", "1"], tmp_path)
+    assert calls == [(3, 4)]
+    assert sum(c["name"] == "growth" for c in report["checks"]) == 3 * 7
 
 
 def test_verify_field_cmd(tmp_path):

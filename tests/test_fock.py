@@ -7,17 +7,19 @@ module structure must reproduce exactly.
 """
 
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from qzm import fock
-from qzm.basis import FockContext, class_size, quotient_basis
+from qzm.basis import (FockContext, _compositions, _level_words, chain_levels,
+                       class_size, quotient_basis)
+from qzm.cli import SWEEP_LETTERS, _sweep_contents
 from qzm.fock import (State, class_words, word_from_letters,
                       word_is_dead, word_row_content, word_sort_key)
 from qzm.qalgebra import apply_Q, tensor_vacuum
-from qzm.scalars import UsageError
-from qzm.weights import p_diff
+from qzm.scalars import GENERIC, ROOT, UsageError, make_field
+from qzm.weights import epsilon, p_diff
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +166,110 @@ def test_barred_templates_equal_unbarred():
         assert w == wb
         assert ctx.is_zero_state(State(ctx.field, 3,
                                              terms={w: ctx.field.one}))
+
+
+@pytest.mark.parametrize("h", [None] + list(range(3, 13)),
+                         ids=lambda h: "generic" if h is None else f"h{h}")
+def test_anti_diagonal_r1_windows_are_in_the_diagonal_span(h):
+    """The identity behind builds' R1 rows (``qzm.basis.build_block``): for
+    rows i != j and flavors a != b, the four words of (i,a), (j,b) carry
+    four R1 windows, and the two anti-diagonal rows are Q^-1 M^-1 times the
+    two diagonal ones, which have rank 2.  For a diagonal window x y, P is
+    its p_ij, e = eps(flavor y, flavor x), Q = q^(e P) and M = [[ [P-1],
+    -[P] ], [ [P], -[P+1] ]], of determinant 1.  Both row orders and both
+    flavor orders, P in -2h..2h (-12..12 for generic q)."""
+    f = make_field(GENERIC) if h is None else make_field(ROOT, h)
+    n, top = 2, 12 if h is None else 2 * h
+
+    def row(x, y, cnt):
+        return {pair: c for pair, c in fock.exchange_terms(f, n, x, y, cnt)}
+
+    for (xi, yi), (xa, ya) in product(((0, 1), (1, 0)), repeat=2):
+        # the window x y, and x2 y2, the third word of its row
+        x, y, x2, y2 = xi * n + xa, yi * n + ya, yi * n + xa, xi * n + ya
+        if (xi < yi) != (xa < ya):
+            x, y, x2, y2 = x2, y2, x, y
+        (xi, xa), (yi, ya) = divmod(x, n), divmod(y, n)
+        words = [bytes(p) for p in ((x, y), (y, x), (x2, y2), (y2, x2))]
+        for P in range(-top, top + 1):
+            m = P - (xi - yi)       # cnt[yi] - cnt[xi], so that p_ij = P
+            cnt = [0] * n
+            cnt[yi if m > 0 else xi] = abs(m)
+            assert p_diff(cnt, yi + 1, xi + 1) == P
+            diag = [row(x, y, cnt), row(y, x, cnt)]
+            anti = [row(x2, y2, cnt), row(y2, x2, cnt)]
+            qinv = f.q_power(-epsilon(ya, xa) * P)
+            minv = [[-f.q_int(P + 1), f.q_int(P)],
+                    [-f.q_int(P), f.q_int(P - 1)]]
+            assert minv[0][0] * minv[1][1] - minv[0][1] * minv[1][0] == f.one
+            for got, coeffs in zip(anti, minv):
+                want = {w: qinv * (coeffs[0] * diag[0].get(w, f.zero)
+                                   + coeffs[1] * diag[1].get(w, f.zero))
+                        for w in words}
+                assert {w: c for w, c in want.items() if not c.is_zero()} \
+                    == {w: c for w, c in got.items() if not c.is_zero()}, (x, y, P)
+            minors = [diag[0].get(u, f.zero) * diag[1].get(v, f.zero)
+                      - diag[0].get(v, f.zero) * diag[1].get(u, f.zero)
+                      for u, v in combinations(words, 2)]
+            assert any(not c.is_zero() for c in minors), (x, y, P)
+
+
+def per_window_exchange_rows(field, n, h, words):
+    """The sweep's R1/R2/R3 instances with every coefficient made afresh
+    for its window: the oracle for ``fock.exchange_rows``, which makes each
+    once per call."""
+    qpow = field.q_power
+    one = field.one
+    for w in words:
+        N = len(w)
+        if N < 2 or w[-1] < n:
+            stop = -1
+        elif w[-2] < n:
+            stop = N - 3
+        else:
+            continue
+        cnt = [0] * n
+        for p in range(N - 2, stop, -1):
+            x = w[p]
+            y = w[p + 1]
+            xi, xa = x // n, x % n
+            yi, ya = y // n, y % n
+            if xi != yi:
+                if xa != ya:
+                    terms = {w[:p] + pair + w[p + 2:]: c for pair, c in
+                             fock.exchange_terms(field, n, x, y, cnt)}
+                    yield fock.RelationInstance(fock.TEMPLATE_EXCHANGE, terms, p)
+                else:
+                    w2 = w[:p] + bytes((y, x)) + w[p + 2:]
+                    yield fock.RelationInstance(fock.TEMPLATE_COMMUTE,
+                                                {w: one, w2: -one}, p)
+            elif xa != ya:
+                w2 = w[:p] + bytes((y, x)) + w[p + 2:]
+                yield fock.RelationInstance(
+                    fock.TEMPLATE_FLAVOR_SWAP,
+                    {w: one, w2: -qpow(epsilon(xa, ya))}, p)
+            cnt[yi] += 1
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["root", "generic"])
+def test_exchange_rows_match_the_per_window_oracle(generic):
+    """Every verify-algebra (3,2) sweep content yields the same instances,
+    in the same order, with the same terms in the same order."""
+    ctx = FockContext(3, 2, generic=generic)
+    f, n, h = ctx.field, ctx.n, ctx.h
+
+    def listed(instances):
+        return [(i.template, list(i.terms.items()), i.position)
+                for i in instances]
+
+    count = 0
+    for rc in _sweep_contents(n, SWEEP_LETTERS):
+        for fc in _compositions(sum(rc), n):
+            for ws in _level_words(n, chain_levels(rc, fc)):
+                got = listed(fock.exchange_rows(f, n, h, ws))
+                assert got == listed(per_window_exchange_rows(f, n, h, ws))
+                count += len(got)
+    assert count == 7926
 
 
 # ---------------------------------------------------------------------------
