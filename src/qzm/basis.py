@@ -569,9 +569,11 @@ class FockContext:
 
     def relation_instances(self, row_content, flavor_content):
         """The R1/R2/R3 and R5 instances of the block chain, word by word,
-        as an iterator; none holds dead words only (see qzm.fock).  Builds
-        work from sub-blocks (``build_block``) and the certificate from
-        ``qzm.certificate.chain_rows`` instead."""
+        as an iterator; none holds dead words only (see qzm.fock).  They
+        serve the test oracles only: builds work from sub-blocks
+        (``build_block``), the certificate from
+        ``qzm.certificate.chain_rows``, and verify-algebra's sweep tests the
+        same windows in place (``qzm.cli._instances_all_zero``)."""
         field, n, h = self.field, self.n, self.h
         levels = chain_levels(row_content, flavor_content)
         level_words = _level_words(n, levels)

@@ -15,12 +15,15 @@ import sys
 import time
 
 from . import __version__, bilinears as bl, diagrams as dg, qalgebra as qa
-from .basis import BudgetExceeded, DEFAULT_BUDGET, FockContext, _compositions
+from .basis import (BudgetExceeded, DEFAULT_BUDGET, FockContext, _compositions,
+                    chain_levels)
 from .cache import DiskCache
-from .fock import State, class_words, determinant_rows, eps_tag, word_is_dead
+from .fock import (State, class_words, determinant_rows, eps_tag, exchange_terms,
+                   live_windows, word_is_dead)
 from .reports import (BUDGET, CheckRecord, DERIVED, EXPLORATORY, FAIL, DOCUMENTED,
                       PASS, Report, SKIPPED)
 from .scalars import GENERIC, ROOT, make_field
+from .weights import p_diff
 
 SWEEP_LETTERS = 4          # class-family sweep depth for verify-algebra
 RANDOM_WORD_LETTERS = 3    # length of seeded random words in identity checks
@@ -189,17 +192,102 @@ def _word_state(ctx, w):
     return State(ctx.field, ctx.n, terms={w: ctx.field.one})
 
 
-def _instances_all_zero(ctx, rc, fc):
-    return not any(ctx.reduce_terms(inst.terms)
-                   for inst in ctx.relation_instances(rc, fc))
+# the sweep's sizes: windows checked per template, and R2/R3 windows
+# skipped as the mirror of a checked one
+SWEEP_COUNTS = ("exchange_checked", "row_commute_checked", "row_commute_mirrored",
+                "flavor_swap_checked", "flavor_swap_mirrored",
+                "determinant_checked")
+
+
+def _instances_all_zero(ctx, rc, fc, r1, counts):
+    """True when every relation instance of the (rc, fc) block chain that
+    ``FockContext.relation_instances`` lists reduces to zero.  The windows
+    are tested in place, on the ``live_windows`` of each chain level's
+    words, against the memoised reductions of ``ctx.reduce_word``; each
+    test adds one to its template's entry of ``counts``.
+
+    R1 (rows and flavors differ): the sum of c * red(u t v) over the three
+    (t, c) of ``exchange_terms`` must be zero.  ``r1`` is the sweep's table
+    of those terms, keyed by (x, y, p_ij), without the terms of coefficient
+    zero, whose words are never reduced.
+
+    R2 (rows differ, one flavor) and R3 (one row, flavors differ), at
+    windows x < y only (letter codes): red(w) == red(w') for R2 and
+    red(w) == q^eps(a, b) red(w') termwise for R3, where w = u x y v,
+    w' = u y x v and a, b are the flavors of x, y.  Reductions are
+    canonical tuples, so both tests are exact.  Skipping x > y loses
+    nothing.  The instance at the x > y window of w' is
+    {w': 1, w: -q^eps(b, a)}, and as eps is antisymmetric that is
+    -q^eps(b, a) times the instance {w: 1, w': -q^eps(a, b)} at the x < y
+    window of w (R2 has a = b, the unit -1); a unit multiple is zero
+    exactly when the instance is.  And w' is a word of the same level, with
+    that window live exactly when w's is: ``live_windows`` keeps a window
+    by the letters right of it and, for the last window, where w and w'
+    end in different letters, by whether x or y has row 1, which does not
+    change under the swap.
+
+    R5: each ``determinant_rows`` instance of the lower levels goes through
+    ``reduce_terms``.
+    """
+    n, field = ctx.n, ctx.field
+    red = ctx.reduce_word
+    # x < y in one row means a < b, so eps(a, b) = -1
+    q_eps = field.q_power(-1)
+    level_words = [class_words(n, r, f) for r, f in chain_levels(rc, fc)]
+    for ws in level_words:
+        for w in ws:
+            cnt = [0] * n
+            for p in live_windows(n, w):
+                x, y = w[p], w[p + 1]
+                xi, xa = divmod(x, n)
+                yi, ya = divmod(y, n)
+                if xi != yi and xa != ya:
+                    counts["exchange_checked"] += 1
+                    key = (x, y, p_diff(cnt, yi + 1, xi + 1))
+                    terms = r1.get(key)
+                    if terms is None:
+                        terms = r1[key] = tuple(
+                            (t, c) for t, c in exchange_terms(field, n, x, y, cnt)
+                            if not c.is_zero())
+                    u, v, acc = w[:p], w[p + 2:], {}
+                    for t, c in terms:
+                        for b, s in red(u + t + v):
+                            cs = c * s
+                            old = acc.get(b)
+                            acc[b] = cs if old is None else old + cs
+                    if not all(c.is_zero() for c in acc.values()):
+                        return False
+                elif x > y:
+                    counts["row_commute_mirrored" if xi != yi
+                           else "flavor_swap_mirrored"] += 1
+                elif xi != yi:
+                    counts["row_commute_checked"] += 1
+                    if red(w) != red(w[:p] + bytes((y, x)) + w[p + 2:]):
+                        return False
+                elif xa != ya:
+                    counts["flavor_swap_checked"] += 1
+                    r, r2 = red(w), red(w[:p] + bytes((y, x)) + w[p + 2:])
+                    if len(r) != len(r2) or any(
+                            b != b2 or s != q_eps * s2
+                            for (b, s), (b2, s2) in zip(r, r2)):
+                        return False
+                cnt[yi] += 1
+    for ws in level_words[1:]:
+        for inst in determinant_rows(field, n, ctx.h, ws):
+            counts["determinant_checked"] += 1
+            if ctx.reduce_terms(inst.terms):
+                return False
+    return True
 
 
 def _sweep_all_zero(ctx, contents):
+    r1, counts = {}, dict.fromkeys(SWEEP_COUNTS, 0)
     bad = [(rc, fc) for rc in contents
            for fc in _compositions(sum(rc), ctx.n)
-           if not _instances_all_zero(ctx, rc, fc)]
+           if not _instances_all_zero(ctx, rc, fc, r1, counts)]
     detail = f"nonzero instances in {bad[:3]}" if bad else None
-    return not bad, {"sizes": {"families": len(contents)}, "detail": detail}
+    return not bad, {"sizes": {"families": len(contents), **counts},
+                     "detail": detail}
 
 
 def _verify_algebra_mode(cfg, ck, generic):

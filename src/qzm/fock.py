@@ -241,34 +241,41 @@ def exchange_terms(field, n, x, y, cnt):
              field.q_power(epsilon(ya, xa) * pij)))
 
 
-def exchange_rows(field, n, h, words):
-    """Yield R1/R2/R3 instances for the windows of the listed words.
+def live_windows(n, w):
+    """The positions p of the windows w[p] w[p+1] whose relation instance
+    can hold a live word, right to left, so that a caller can accumulate
+    the row counts of the suffix w[p+2:].
 
     A window's words share every letter right of it, so a word ending in a
-    row >= 2 letter yields only its last window, and nothing when the
-    letter before has row >= 2 too: all that window's words are then dead.
+    row >= 2 letter keeps only its last window, and none when the letter
+    before has row >= 2 too: all that window's words are then dead.
+    Whether a window is kept does not change when its two letters swap.
+    """
+    N = len(w)
+    if N < 2 or w[-1] < n:
+        return range(N - 2, -1, -1)
+    return range(N - 2, N - 3 if w[-2] < n else N - 2, -1)
 
-    These per-word instances serve the verify-algebra sweeps and the test
-    oracles.  Block builds (``qzm.basis.build_block``) and their certificate
-    (``qzm.certificate.chain_rows``) list no words and do not call this.
-    The coefficients are made once per call: an R1 window's three depend
-    only on (x, y, p_ij), the R2 and R3 units only on eps.
+
+def exchange_rows(field, n, h, words):
+    """Yield R1/R2/R3 instances for the ``live_windows`` of the listed
+    words.
+
+    These per-word instances serve the test oracles only.  Block builds
+    (``qzm.basis.build_block``), their certificate
+    (``qzm.certificate.chain_rows``) and verify-algebra's sweep
+    (``qzm.cli._instances_all_zero``, which tests each window in place)
+    do not call this.  The coefficients are made once per call: an R1
+    window's three depend only on (x, y, p_ij), the R2 and R3 units only
+    on eps.
     """
     one = field.one
     neg_one = -one
     neg_q = {e: -field.q_power(e) for e in (-1, 1)}
     r1 = {}             # (x, y, p_ij) -> exchange_terms
     for w in words:
-        N = len(w)
-        if N < 2 or w[-1] < n:
-            stop = -1
-        elif w[-2] < n:
-            stop = N - 3
-        else:
-            continue
         cnt = [0] * n
-        # windows processed right to left so suffix row counts accumulate
-        for p in range(N - 2, stop, -1):
+        for p in live_windows(n, w):
             x = w[p]
             y = w[p + 1]
             xi, xa = x // n, x % n          # 0-based rows/flavors

@@ -13,7 +13,7 @@ import pytest
 import qzm.cache
 import qzm.diagrams
 from qzm import cli
-from qzm.basis import BlockBasis, FockContext
+from qzm.basis import BlockBasis, FockContext, _compositions, chain_levels
 from qzm.cache import DiskCache, _canon_key, _decode_block, _digest
 from qzm.fock import State
 from qzm.reports import strip_timing
@@ -743,15 +743,82 @@ def test_zero_test_sees_a_corrupted_block():
         [(bb.words[lead], ctx.field.one)]
         + [(bb.words[t], -s) for t, s in tail.items()]))
     assert ctx.is_zero_state(state)
-    (t, s), *rest = tail.items()
+    _alter_tail(ctx, bb, lead)
+    assert not cli._sweep_all_zero(ctx, contents)[0]
+    assert not ctx.is_zero_state(state)
+    assert not ctx.is_zero_state(State.vacuum(ctx.field, 2))
+
+
+def _alter_tail(ctx, bb, lead):
+    """Put in the place of block ``bb`` one made anew from its echelon form
+    with one added to the first scalar of pivot ``lead``'s tail, and forget
+    the reductions memoised before the change."""
+    (t, s), *rest = bb.rref[lead].items()
     ctx._blocks[bb.key] = BlockBasis(
         bb.key, bb.field, bb.subs, bb.words,
         {**bb.rref, lead: {t: s + ctx.field.one, **dict(rest)}},
         bb.total_words, bb.live_words)
-    ctx._wred.clear()       # reductions memoised before the change
-    assert not cli._sweep_all_zero(ctx, contents)[0]
-    assert not ctx.is_zero_state(state)
-    assert not ctx.is_zero_state(State.vacuum(ctx.field, 2))
+    ctx._wred.clear()
+
+
+def _sweep_verdicts(ctx, key=None):
+    """Per sweep content whose chain reaches the block ``key`` (every one
+    when ``key`` is None), the verdict of testing its windows in place and
+    that of reducing every ``relation_instances`` instance."""
+    r1, counts = {}, dict.fromkeys(cli.SWEEP_COUNTS, 0)
+    in_place, oracle = [], []
+    for rc in cli._sweep_contents(ctx.n, cli.SWEEP_LETTERS):
+        for fc in _compositions(sum(rc), ctx.n):
+            if key is None or key in chain_levels(rc, fc):
+                in_place.append(cli._instances_all_zero(ctx, rc, fc, r1, counts))
+                oracle.append(not any(ctx.reduce_terms(i.terms)
+                                      for i in ctx.relation_instances(rc, fc)))
+    return in_place, oracle
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["root", "generic"])
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (3, 2)])
+def test_sweep_verdicts_match_the_instance_oracle(n, k, generic):
+    """Each content's verdict equals the oracle's, on true reductions and
+    after one tail of any one block is altered, so neither the R2/R3
+    mirror skip nor the shared R1 table hides a failure, and every such
+    alteration fails the sweep.  Only the contents whose chain reaches the
+    altered block can change, and the others are not swept again."""
+    ctx = FockContext(n, k, generic=generic)
+    in_place, oracle = _sweep_verdicts(ctx)
+    assert in_place == oracle and all(in_place)
+    altered = [bb for _, bb in sorted(ctx._blocks.items())
+               if any(bb.rref.values())]
+    assert altered
+    for bb in altered:
+        _alter_tail(ctx, bb, next(j for j, t in bb.rref.items() if t))
+        in_place, oracle = _sweep_verdicts(ctx, bb.key)
+        assert in_place == oracle and not all(in_place), bb.key
+        ctx._blocks[bb.key] = bb
+        ctx._wred.clear()
+
+
+@pytest.mark.parametrize("generic", [False, True], ids=["root", "generic"])
+def test_sweep_reduces_every_instance_word(generic, monkeypatch):
+    """The (3,2) sweep reduces through ``ctx.reduce_word`` exactly the
+    words that its instances hold with a nonzero coefficient, the words
+    that reducing every instance reduces.  It checks every R1 window, one
+    window of each R2 and R3 mirror pair and every R5 instance."""
+    ctx = FockContext(3, 2, generic=generic)
+    contents = cli._sweep_contents(3, cli.SWEEP_LETTERS)
+    words = {w for rc in contents for fc in _compositions(sum(rc), 3)
+             for inst in ctx.relation_instances(rc, fc)
+             for w, c in inst.terms.items() if not c.is_zero()}
+    reduced, real = set(), ctx.reduce_word
+    monkeypatch.setattr(ctx, "reduce_word",
+                        lambda w: reduced.add(w) or real(w))
+    ok, extras = cli._sweep_all_zero(ctx, contents)
+    assert ok and reduced == words
+    assert extras["sizes"] == {
+        "families": 34, "exchange_checked": 4236,
+        "row_commute_checked": 1059, "row_commute_mirrored": 1059,
+        "flavor_swap_checked": 786, "flavor_swap_mirrored": 786,
+        "determinant_checked": 13}
 
 
 def test_cache_purge(tmp_path):

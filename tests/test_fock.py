@@ -133,6 +133,20 @@ def test_exchange_rows_skip_dead_endings(ctx31):
             assert got == []
 
 
+def test_live_windows_keep_a_window_as_its_mirror_does():
+    """A window is live in u x y v exactly when it is live in the mirror
+    word u y x v: the premise of the verify-algebra sweep's R2/R3 mirror
+    skip (``qzm.cli._instances_all_zero``)."""
+    n = 3
+    for rc, fc in [((2, 1, 1), (1, 2, 1)), ((1, 1, 2), (2, 1, 1)),
+                   ((0, 2, 2), (2, 2, 0))]:
+        for w in class_words(n, rc, fc):
+            live = set(fock.live_windows(n, w))
+            for p in range(len(w) - 1):
+                m = w[:p] + bytes((w[p + 1], w[p])) + w[p + 2:]
+                assert (p in live) == (p in fock.live_windows(n, m))
+
+
 def test_every_instance_reduces_to_zero(ctx21, ctx31, gctx2):
     for ctx, rc, fc in [
         (ctx21, (2, 1), (2, 1)), (ctx21, (3, 0), (2, 1)),
