@@ -11,10 +11,10 @@ a unit q^E times its class's representative, which ``class_rep`` computes
 in closed form.  A class dies with any of its words that ``word_is_dead``
 kills (R4, R6).  A block is built from its one-letter sub-blocks, with no
 word listed: it is the reduced echelon form of its relation rows over A,
-the letters times the sub-blocks' basis words (``build_block``).  A word of
-A reads its reduction off that form, and any other word a v reduces as a
-times the sub-block's reduction of v, since the relations are a left
-ideal; no reduction needs a rep.  The certificate for a block built
+the letters times the sub-blocks' basis words (``build_block``), kept
+keyed by A's words: one stored reduction per word of A.  Any other word
+a v reduces as a times the sub-block's reduction of v, since the
+relations are a left ideal; no reduction needs a rep.  The certificate for a block built
 elsewhere is in qzm.certificate.
 
 The word order eliminates longer words toward shorter ones (so determinant
@@ -189,68 +189,65 @@ def class_rep(n, w, memo=None):
 class BlockBasis:
     """Reduction data for one (row content, flavor content) block chain.
 
-    ``subs`` maps each letter a of the content to the block of chain(c - a),
-    and ``words`` are the coordinate words of A in ``word_sort_key`` order:
-    a beta for each basis word beta of subs[a], and the vacuum when the
-    chain reaches the empty content.  ``rref`` is the relation rows'
-    reduced echelon form over A: each pivot coordinate maps to its tail
-    {free coordinate: Scalar}, meaning the pivot's reduction, empty when
-    that is zero.  The free coordinates are the ``basis_words``.
-    ``live_words`` counts the words that are not ``word_is_dead``, dead
-    classes included.  Each coordinate word's reduction is read off
-    ``rref`` once, at construction; every other word reduces through them.
+    ``subs`` maps each letter a of the content to the block of chain(c - a).
+    A's coordinate words are a beta for each basis word beta of subs[a],
+    and the vacuum when the chain reaches the empty content
+    (``block_coordinates``).  ``rref`` is the relation rows' reduced
+    echelon form over A, in ``word_sort_key`` order: each pivot coordinate
+    word maps to its reduction, the tuple ``reduce_word`` returns, () when
+    it is zero.  The free coordinates are the ``basis_words``, in that
+    order, and ``_free`` maps each to its one-term reduction, so each
+    coordinate's reduction is stored once.  ``live_words`` counts the words
+    that are not ``word_is_dead``, dead classes included.
     """
 
-    __slots__ = ("key", "field", "subs", "words", "rref", "basis_words",
-                 "total_words", "live_words", "dim", "_coords")
+    __slots__ = ("key", "field", "subs", "rref", "basis_words", "total_words",
+                 "live_words", "dim", "_free")
 
-    def __init__(self, key, field, subs, words, rref, total_words, live_words):
+    def __init__(self, key, field, subs, rref, basis_words, total_words,
+                 live_words):
         self.key = key
         self.field = field
         self.subs = subs
-        self.words = words
         self.rref = rref
-        self.basis_words = [w for j, w in enumerate(words) if j not in rref]
+        self.basis_words = basis_words
         self.total_words = total_words
         self.live_words = live_words
-        self.dim = len(self.basis_words)
-        one = field.one
-        # coordinate word -> its reduction; a free coordinate is itself
-        self._coords = {
-            w: ((w, one),) if j not in rref else
-            tuple([(words[t], s) for t, s in sorted(rref[j].items())])
-            for j, w in enumerate(words)}
+        self.dim = len(basis_words)
+        self._free = {w: ((w, field.one),) for w in basis_words}
 
     def reduce_word(self, w, memo=None):
         """The word as a combination of basis words: a tuple of (word,
         Scalar) in ``word_sort_key`` order, () when it is zero.  A
-        coordinate word is one lookup; any other word a v is a (x)
-        ``subs[a].reduce_word(v)``, a sum of the coordinates a beta's
-        reductions, as the relations are a left ideal.  ``memo`` holds the
-        other words' reductions, keyed by the word at the top level (its
-        own content) and by (block key, word) below; its owner, such as
-        the context (``_wred``), decides how long it lives."""
-        red = self._coords.get(w)
+        coordinate word's is stored (``_free``, ``rref``); any other word
+        a v is a (x) ``subs[a].reduce_word(v)``, a sum of the coordinates
+        a beta's reductions, as the relations are a left ideal.  ``memo``
+        holds the other words' reductions, keyed by the word at the top
+        level (its own content) and by (block key, word) below; its owner,
+        such as the context (``_wred``), decides how long it lives."""
+        red = self._free.get(w) or self.rref.get(w)
         if red is not None:
             return red
         memo = {} if memo is None else memo
         mkey = w if len(w) == sum(self.key[0]) else (self.key, w)
         red = memo.get(mkey)
         if red is None:
-            coords, prefix = self._coords, w[:1]
+            free, rref, prefix = self._free, self.rref, w[:1]
             sub = self.subs[w[0]].reduce_word(w[1:], memo)
             if len(sub) == 1:
                 [(t, s)] = sub
-                red = tuple([(u, s * c) for u, c in coords[prefix + t]])
+                u = prefix + t
+                red = tuple([(v, s * c) for v, c in free.get(u) or rref[u]])
             else:
                 acc = {}
                 for t, s in sub:
-                    for u, c in coords[prefix + t]:
+                    u = prefix + t
+                    for v, c in free.get(u) or rref[u]:
                         sc = s * c
-                        v = acc.get(u)
-                        acc[u] = sc if v is None else v + sc
-                red = tuple([(u, acc[u]) for u in sorted(acc, key=word_sort_key)
-                             if not acc[u].is_zero()])
+                        x = acc.get(v)
+                        acc[v] = sc if x is None else x + sc
+                red = tuple([(v, acc[v]) for v in sorted(acc, key=word_sort_key)
+                             if not acc[v].is_zero()])
             memo[mkey] = red
         return red
 
@@ -365,9 +362,9 @@ def build_block(ctx, row_content, flavor_content):
                 times beta, in chain(levels[1])
       R6        the letter x of row >= 2, when chain(c - x) holds the vacuum
 
-    A term x w maps to x (x) ``block(c - x).reduce_word(w)``.  A's
-    coordinate words are ordered by ``word_sort_key``, and each row goes in
-    with its least coordinate as pivot.  The free coordinates are the
+    A term x w maps to x (x) ``block(c - x).reduce_word(w)``.  The
+    elimination alone numbers A's coordinate words, in ``word_sort_key``
+    order, and each row goes in with its least coordinate as pivot.  The free coordinates are the
     basis words: each basis word is some a beta (a v with v a pivot of its
     sub-block reduces to later words, so it is never free), and a pivot
     word reduces to later basis words, so it is a pivot over A too.  So
@@ -439,7 +436,12 @@ def build_block(ctx, row_content, flavor_content):
             _insert_row(row, rref)
             if len(rref) == len(words):
                 break
-    bb = BlockBasis(key, field, subs, words, rref, *chain_sizes(ctx, key))
+    bb = BlockBasis(key, field, subs,
+                    {words[j]: tuple([(words[t], s)
+                                      for t, s in sorted(rref[j].items())])
+                     for j in sorted(rref)},
+                    [w for j, w in enumerate(words) if j not in rref],
+                    *chain_sizes(ctx, key))
     if b"" in index and bb.basis_words[-1:] != [b""]:
         raise RelationInconsistency(
             f"vacuum vector collapsed while eliminating block {key}")

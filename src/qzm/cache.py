@@ -6,10 +6,10 @@ content, relation-set fingerprint).  Every file carries a versioned header
 naming that key, the epsilon-convention tag and a sha256 of the block
 record's canonical JSON beside the record.  Builds store the sub-blocks
 they build too (see qzm.basis), and trust the ones they load.  A record is
-the block's own rows over A, keyed by A's coordinate words: its basis
-words, then each pivot with a nonempty tail and the tail, in coordinate
-order.  Loading rebuilds the coordinates from the sub-blocks, got through
-``FockContext.block_basis``.  A file that cannot be read or decoded, or
+the block's echelon form over A as ``BlockBasis.rref`` keys it, by words:
+its basis words, then each pivot with a nonempty tail and the tail, in
+coordinate order.  Loading rebuilds the coordinates from the sub-blocks,
+got through ``FockContext.block_basis``.  A file that cannot be read or decoded, or
 whose header or checksum does not match the requesting context (other
 relations included), or whose record is no reduced echelon form over those
 coordinates with live class reps as basis words, or that states sizes
@@ -86,13 +86,12 @@ def _digest(record):
 
 
 def _encode_block(ctx, bb):
-    """The block's rows over A: its basis words and each nonempty tail,
-    keyed by coordinate words, in coordinate order (``word_sort_key``)."""
-    n, words = ctx.n, bb.words
-    rows = [[_encode_word(n, words[lead]),
-             [[_encode_word(n, words[t]), s.encode()]
-              for t, s in sorted(tail.items())]]
-            for lead, tail in sorted(bb.rref.items()) if tail]
+    """The block's rows over A: its basis words and each nonempty tail of
+    ``rref``, keyed by coordinate words, in coordinate order."""
+    n = ctx.n
+    rows = [[_encode_word(n, lead),
+             [[_encode_word(n, t), s.encode()] for t, s in red]]
+            for lead, red in bb.rref.items() if red]
     return {
         "flavor_content": list(bb.key[1]),
         "total_words": bb.total_words,
@@ -104,36 +103,37 @@ def _encode_block(ctx, bb):
 
 
 def _decode_block(ctx, key, record):
-    """The stored block over the coordinates its sub-blocks give;
-    ValueError when a word is no coordinate or is listed twice, when a
-    basis word is no live class rep, when a lead is a basis word, or its
-    tail is empty or names a word that is not a basis word, or when a size
-    the record states is not the one the key and the basis give."""
+    """The stored block over the coordinates its sub-blocks give, all in
+    coordinate order; ValueError when a word is no coordinate or is listed
+    twice, when a basis word is no live class rep, when a lead is a basis
+    word, or its tail is empty or names a word that is not a basis word, or
+    when a size the record states is not the one the key and the basis
+    give."""
     n, field = ctx.n, ctx.field
     subs, words = block_coordinates(ctx, key)
     index = {w: j for j, w in enumerate(words)}
 
     def coordinates(encs):
-        out = [index.get(_decode_word(n, e)) for e in encs]
-        if None in out or len(set(out)) < len(out):
+        out = [_decode_word(n, e) for e in encs]
+        if not index.keys() >= set(out) or len(set(out)) < len(out):
             raise ValueError("a word is no coordinate or is listed twice")
         return out
 
     free = set(coordinates(record["basis"]))
-    rref = {j: {} for j in range(len(words)) if j not in free}
+    rref = {w: () for w in words if w not in free}
     leads = coordinates([lead for lead, _ in record["rows"]])
     for lead, (_, enc_tail) in zip(leads, record["rows"]):
         tail = dict(zip(coordinates([t for t, _ in enc_tail]),
                         (field.decode(s) for _, s in enc_tail)))
         if not tail or lead in free or not free >= tail.keys():
-            raise ValueError(f"row {words[lead].hex()} is not a reduced pivot")
-        rref[lead] = tail
+            raise ValueError(f"row {lead.hex()} is not a reduced pivot")
+        rref[lead] = tuple([(t, tail[t]) for t in sorted(tail, key=index.get)])
     memo = {}
-    for j in free:
-        if class_rep(n, words[j], memo)[0] != words[j] or word_is_dead(
-                n, ctx.h, words[j]):
-            raise ValueError(f"basis word {words[j].hex()} is no live rep")
-    bb = BlockBasis(key, field, subs, words, rref, *chain_sizes(ctx, key))
+    for w in free:
+        if class_rep(n, w, memo)[0] != w or word_is_dead(n, ctx.h, w):
+            raise ValueError(f"basis word {w.hex()} is no live rep")
+    bb = BlockBasis(key, field, subs, rref, [w for w in words if w in free],
+                    *chain_sizes(ctx, key))
     if any(record[k] != getattr(bb, k)
            for k in ("total_words", "live_words", "dim")):
         raise ValueError("a size the record states is not the block's")

@@ -321,16 +321,14 @@ def check_hook_vanishing(ctx, i):
             not hook_coordinates(ctx, i, i))
 
 
-def check_rowcol_commutativity(ctx, vectors, triples=None):
+def check_rowcol_commutativity(ctx, vectors):
     """Entries of Q in one row or one column commute, on the vectors given
     by their reduced coordinates (canonical, so equal vectors are equal)."""
     n = ctx.n
-    if triples is None:
-        triples = [(i, j, l) for i in range(1, n + 1)
-                   for j in range(1, n + 1) for l in range(j + 1, n + 1)]
     return all(_QQ(ctx, i, j, i, l, v) == _QQ(ctx, i, l, i, j, v)
                and _QQ(ctx, j, i, l, i, v) == _QQ(ctx, l, i, j, i, v)
-               for v in vectors for i, j, l in triples)
+               for v in vectors for i in range(1, n + 1)
+               for j in range(1, n + 1) for l in range(j + 1, n + 1))
 
 
 def nilpotency(ctx, i, j):

@@ -22,11 +22,13 @@ import pytest
 
 from qzm import basis, certificate, cli
 from qzm.basis import (FockContext, _compositions, _insert_row, _level_words,
-                       chain_levels, class_rep, class_size, live_count)
+                       block_coordinates, chain_levels, class_rep, class_size,
+                       live_count)
 from qzm.cache import DiskCache, _encode_word
 from qzm.certificate import (_alphabet, _live_reps, _reps_by_content,
                              chain_rows)
-from qzm.fock import class_words, word_from_letters, word_is_dead
+from qzm.fock import (class_words, word_from_letters, word_is_dead,
+                      word_sort_key)
 from qzm.reports import strip_timing
 
 
@@ -208,8 +210,9 @@ def test_context_asks_for_one_block_per_miss(monkeypatch):
     n = ctx.n
     key, bb, w = next((key, bb, w) for key, bb in ctx._blocks.items()
                       for w in class_words(n, *key)
-                      if not word_is_dead(n, ctx.h, w) and w not in bb._coords)
-    assert w not in bb._coords
+                      if not word_is_dead(n, ctx.h, w) and w not in bb.rref
+                      and w not in bb.basis_words)
+    assert w not in bb.rref and w not in bb.basis_words
     ctx._wred.clear()
     asked = []
     real = ctx.block_basis
@@ -430,9 +433,18 @@ def test_sweep_instances_touch_a_live_ending(ctx32, gctx3):
         assert_every_instance_touches_a_live_ending(ctx, keys)
 
 
+def _in_order(pairs):
+    """(word, x) pairs sorted by word, in coordinate order."""
+    return sorted(pairs, key=lambda wx: word_sort_key(wx[0]))
+
+
 def altered(bb, rref):
-    """The block with another echelon form over the same coordinates."""
-    return basis.BlockBasis(bb.key, bb.field, bb.subs, bb.words, rref,
+    """The block with another echelon form over the same coordinates: the
+    pivots are the keys of ``rref``, and the other coordinates are free."""
+    free = (bb.rref.keys() | set(bb.basis_words)) - rref.keys()
+    return basis.BlockBasis(bb.key, bb.field, bb.subs,
+                            dict(_in_order(rref.items())),
+                            sorted(free, key=word_sort_key),
                             bb.total_words, bb.live_words)
 
 
@@ -442,14 +454,14 @@ def test_certificate_rejects_an_altered_block(ctx22):
     word."""
     bb = ctx22.block_basis((2, 1), (1, 2))
     assert ctx22.certify(bb)
-    lead = next(j for j, tail in bb.rref.items() if tail)
-    (t, s), *rest = bb.rref[lead].items()
-    other = next(j for j in bb.rref if j != lead)
-    for tail in ({t: s + ctx22.field.one, **dict(rest)},
-                 {other: s, **dict(rest)}):
-        assert not ctx22.certify(altered(bb, {**bb.rref, lead: tail}))
-    assert not ctx22.certify(altered(bb, {j: tail for j, tail in
-                                          bb.rref.items() if j != lead}))
+    lead = next(w for w, red in bb.rref.items() if red)
+    (t, s), *rest = bb.rref[lead]
+    other = next(w for w in bb.rref if w != lead)
+    for red in ([(t, s + ctx22.field.one), *rest], [(other, s), *rest]):
+        assert not ctx22.certify(altered(bb, {**bb.rref,
+                                              lead: tuple(_in_order(red))}))
+    assert not ctx22.certify(altered(bb, {w: red for w, red in
+                                          bb.rref.items() if w != lead}))
 
 
 def test_certificate_rejects_a_dropped_column(ctx22, tmp_path):
@@ -459,10 +471,10 @@ def test_certificate_rejects_a_dropped_column(ctx22, tmp_path):
     so it passes this block; ``cache validate`` compares its record with a
     fresh build and quarantines it."""
     bb = ctx22.block_basis((2, 1), (1, 2))
-    free = bb.words.index(bb.basis_words[0])
-    rref = {j: {t: s for t, s in tail.items() if t != free}
-            for j, tail in bb.rref.items()}
-    dropped = altered(bb, {**rref, free: {}})
+    free = bb.basis_words[0]
+    rref = {w: tuple([(t, s) for t, s in red if t != free])
+            for w, red in bb.rref.items()}
+    dropped = altered(bb, {**rref, free: ()})
     assert dropped.dim == bb.dim - 1
     assert per_word_certificate(ctx22, dropped)
     assert ctx22.certify(dropped)
@@ -486,13 +498,29 @@ def test_blocks_keep_one_tail_per_pivot_coordinate(monkeypatch):
     blocks = fprime_context(monkeypatch, 3, 1)._blocks.values()
     assert len(blocks) == 236
     for bb in blocks:
-        assert all(not tail.keys() & bb.rref.keys()
-                   for tail in bb.rref.values())
+        assert all(not {t for t, _ in red} & bb.rref.keys()
+                   for red in bb.rref.values())
     zero = [bb for bb in blocks if not bb.dim]
     assert len(zero) == 157
     assert all(not any(bb.rref.values()) for bb in zero)
     assert sum(len(bb.rref) for bb in blocks) == 300
     assert sum(bool(tail) for bb in blocks for tail in bb.rref.values()) == 158
+
+
+def test_blocks_store_one_reduction_per_coordinate_word(monkeypatch):
+    """Over the blocks of fprime (3,1) the pivot words of ``rref`` and the
+    basis words partition A's coordinate words, each pivot maps to a tuple
+    over basis words, and ``reduce_word`` returns that very tuple."""
+    ctx = fprime_context(monkeypatch, 3, 1)
+    for key, bb in ctx._blocks.items():
+        words = block_coordinates(ctx, key)[1]
+        assert sorted(bb.rref.keys() | set(bb.basis_words),
+                      key=word_sort_key) == words
+        assert len(bb.rref) + bb.dim == len(words), key
+        for w, red in bb.rref.items():
+            assert type(red) is tuple
+            assert {t for t, _ in red} <= set(bb.basis_words), (key, w)
+            assert bb.reduce_word(w) is red
 
 
 def _echelon_form(rows):
@@ -691,9 +719,10 @@ def test_largest_33_block_keeps_only_its_rows():
     """The largest block of the (3,3) scan, built in a fresh context, keeps
     one tail per pivot of its 9 coordinates, where the column build stored
     10 263 tails, one per live rep with a nonempty reduction."""
-    bb = FockContext(3, 3, budget=2000000).block_basis((4, 4, 1), (3, 3, 3))
+    ctx = FockContext(3, 3, budget=2000000)
+    bb = ctx.block_basis((4, 4, 1), (3, 3, 3))
     assert bb.dim == 1
-    assert len(bb.rref) <= len(bb.words) == 9
+    assert len(bb.rref) <= len(block_coordinates(ctx, bb.key)[1]) == 9
 
 
 # sha256 of the canonical JSON of every block record with 1 to max_letters

@@ -422,9 +422,9 @@ def test_non_rep_column_is_a_miss_and_quarantined(tmp_path):
     bb = ctx.block_basis((2, 0), (1, 1))
     assert bb.basis_words == [bytes((0, 1))]
     # the coordinate a12 a11 read as free, and the rep a11 a12 as zero
-    rref = {bb.words.index(bytes((0, 1))): {}}
-    assert not ctx.certify(BlockBasis(bb.key, bb.field, bb.subs, bb.words,
-                                      rref, bb.total_words, bb.live_words))
+    assert not ctx.certify(BlockBasis(bb.key, bb.field, bb.subs,
+                                      {bytes((0, 1)): ()}, [bytes((1, 0))],
+                                      bb.total_words, bb.live_words))
     path = _block_file(cache_dir, ctx, bb.key)
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -514,6 +514,31 @@ def test_unreduced_record_is_a_miss_and_quarantined(tmp_path, damage):
     assert rec["result"] == "fail"
     assert rec["detail"] == "quarantined"
     assert os.path.exists(path + ".quarantined")
+
+
+def test_record_out_of_order_loads_in_coordinate_order(tmp_path):
+    """A checksummed record that lists its basis words, its rows and the
+    terms of a two-term tail in reverse order loads without a rebuild, and
+    its reductions, compared as tuples, equal a fresh build's: the load
+    puts them in coordinate order."""
+    cache_dir = str(tmp_path / "cache")
+    ctx = FockContext(3, 1, disk_cache=DiskCache(cache_dir))
+    bb = ctx.block_basis((2, 1, 0), (1, 1, 1))
+    path = _block_file(cache_dir, ctx, bb.key)
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    record = data["block"]
+    tail = next(tail for _, tail in record["rows"] if len(tail) == 2)
+    for listed in (tail, record["rows"], record["basis"]):
+        listed.reverse()
+    data["sha256"] = _digest(record)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    ctx2 = FockContext(3, 1, disk_cache=DiskCache(cache_dir))
+    bb2 = ctx2.block_basis((2, 1, 0), (1, 1, 1))
+    assert ctx2.stats["blocks_built"] == 0
+    assert bb2.basis_words == bb.basis_words
+    assert list(bb2.rref.items()) == list(bb.rref.items())
 
 
 def _assert_old_file_ignored_and_quarantined(tmp_path, old_layout):
@@ -738,10 +763,9 @@ def test_zero_test_sees_a_corrupted_block():
     contents = cli._sweep_contents(2, 4)
     assert cli._sweep_all_zero(ctx, contents)[0]
     bb = ctx.block_basis((2, 1), (1, 2))
-    lead, tail = next((j, t) for j, t in bb.rref.items() if t)
+    lead, red = next((w, r) for w, r in bb.rref.items() if r)
     state = State(ctx.field, 2, terms=dict(
-        [(bb.words[lead], ctx.field.one)]
-        + [(bb.words[t], -s) for t, s in tail.items()]))
+        [(lead, ctx.field.one)] + [(t, -s) for t, s in red]))
     assert ctx.is_zero_state(state)
     _alter_tail(ctx, bb, lead)
     assert not cli._sweep_all_zero(ctx, contents)[0]
@@ -751,13 +775,13 @@ def test_zero_test_sees_a_corrupted_block():
 
 def _alter_tail(ctx, bb, lead):
     """Put in the place of block ``bb`` one made anew from its echelon form
-    with one added to the first scalar of pivot ``lead``'s tail, and forget
-    the reductions memoised before the change."""
-    (t, s), *rest = bb.rref[lead].items()
+    with one added to the first scalar of pivot ``lead``'s reduction, and
+    forget the reductions memoised before the change."""
+    (t, s), *rest = bb.rref[lead]
     ctx._blocks[bb.key] = BlockBasis(
-        bb.key, bb.field, bb.subs, bb.words,
-        {**bb.rref, lead: {t: s + ctx.field.one, **dict(rest)}},
-        bb.total_words, bb.live_words)
+        bb.key, bb.field, bb.subs,
+        {**bb.rref, lead: ((t, s + ctx.field.one), *rest)},
+        bb.basis_words, bb.total_words, bb.live_words)
     ctx._wred.clear()
 
 
@@ -791,7 +815,7 @@ def test_sweep_verdicts_match_the_instance_oracle(n, k, generic):
                if any(bb.rref.values())]
     assert altered
     for bb in altered:
-        _alter_tail(ctx, bb, next(j for j, t in bb.rref.items() if t))
+        _alter_tail(ctx, bb, next(w for w, r in bb.rref.items() if r))
         in_place, oracle = _sweep_verdicts(ctx, bb.key)
         assert in_place == oracle and not all(in_place), bb.key
         ctx._blocks[bb.key] = bb
