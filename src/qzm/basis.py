@@ -465,9 +465,9 @@ class FockContext:
     """Owns the field, the budget and all basis caches.
 
     Block construction is pure; the cache behaves as a get-or-compute map.
-    A context is intended for single-threaded use: its field memoises
-    arithmetic (see qzm.scalars), and it empties that memo when it is
-    released, so the memo lives no longer than the context.
+    A context is intended for single-threaded use, as its caches are not
+    locked.  It empties its field's arithmetic memo (see qzm.scalars) when
+    it is released, so the memo lives no longer than the context.
     """
 
     def __init__(self, n, k=None, *, generic=False, budget=DEFAULT_BUDGET,

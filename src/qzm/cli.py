@@ -618,9 +618,10 @@ def _check_ranges(parser, cfg):
             parser.error(f"--{name} must be at least {low}")
     if cfg.command == "cache" and not cfg.cache_dir:
         parser.error("the cache command needs --cache-dir")
-    # a listing reads an existing cache; only compute commands create one
-    if cfg.command == "cache" and not os.path.isdir(cfg.cache_dir):
-        parser.error(f"--cache-dir {cfg.cache_dir}: no such directory")
+    # a listing reads an existing cache; compute commands create a missing one
+    if cfg.cache_dir and not os.path.isdir(cfg.cache_dir) and (
+            cfg.command == "cache" or os.path.exists(cfg.cache_dir)):
+        parser.error(f"--cache-dir {cfg.cache_dir}: not a directory")
     if cfg.out and (os.path.isdir(cfg.out)
                     or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
         parser.error(f"--out {cfg.out}: not a file in an existing directory")

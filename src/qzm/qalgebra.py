@@ -323,12 +323,15 @@ def check_hook_vanishing(ctx, i):
 
 def check_rowcol_commutativity(ctx, vectors):
     """Entries of Q in one row or one column commute, on the vectors given
-    by their reduced coordinates (canonical, so equal vectors are equal)."""
-    n = ctx.n
-    return all(_QQ(ctx, i, j, i, l, v) == _QQ(ctx, i, l, i, j, v)
-               and _QQ(ctx, j, i, l, i, v) == _QQ(ctx, l, i, j, i, v)
-               for v in vectors for i in range(1, n + 1)
-               for j in range(1, n + 1) for l in range(j + 1, n + 1))
+    by their reduced coordinates (canonical, so equal vectors are equal).
+    Each Q^a_b v is computed once per vector."""
+    Q, rng = reduced_apply_Q, range(1, ctx.n + 1)
+    singles = ({(a, b): Q(ctx, a, b, v) for a in rng for b in rng}
+               for v in vectors)
+    return all(Q(ctx, i, j, qv[i, l]) == Q(ctx, i, l, qv[i, j])
+               and Q(ctx, j, i, qv[l, i]) == Q(ctx, l, i, qv[j, i])
+               for qv in singles for i in rng for j in rng for l in rng
+               if j < l)
 
 
 def nilpotency(ctx, i, j):

@@ -18,14 +18,15 @@ Two modes are supported:
 
 All arithmetic is exact; there is no floating point anywhere.  Scalars are
 immutable values.  A field spec is immutable apart from its memo: each field
-remembers the results of recent ``*``, ``+`` and ``invert`` calls, keyed by
-the operands' canonical (num, den) tuples (in either operand order for the
-commutative ``*`` and ``+``), because elimination repeats the same few
-products of q-integers and units; a product with the field's own ``one``
-returns the other operand and skips the memo.  Each memo table holds at most
-``MEMO_SIZE`` entries, evicts its oldest entry first, and is emptied by
-``FieldSpec.clear_memo`` (a ``FockContext`` calls it when it is released).
-The memo makes a field unsafe to share between threads.
+remembers the results of recent ``*``, ``+`` and ``invert`` calls in
+``functools.lru_cache`` wrappers keyed by the operands' canonical (num, den)
+tuples (one entry for both operand orders of ``*`` and ``+``), because
+elimination repeats the same few products of q-integers and units; a
+product with the field's own ``one`` returns the other operand and skips the
+memo.  Each holds at most ``MEMO_SIZE`` entries and evicts the least recently
+used first; q^m, [m] and [m]! are cached without bound.  ``clear_memo``
+empties all six caches (a ``FockContext`` calls it when it is released).
+The caches stay consistent when threads share a field.
 
 Working modulo Phi_{2h} rather than x^h + 1 matters: x^h + 1 has zero
 divisors when 2h is not a prime power, which would make zero-testing
@@ -34,9 +35,8 @@ unsound, and zero-testing is the engine's core primitive.
 
 from __future__ import annotations
 
-from collections import deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd
 from operator import neg
 
@@ -176,17 +176,18 @@ def _pgcd(a, b):
 # ---------------------------------------------------------------------------
 
 class FieldSpec:
-    """Description of the coefficient field, plus its memo tables.
+    """Description of the coefficient field, plus its memo.
 
     Root mode carries h, the modulus Phi_{2h} and its degree d = phi(2h),
-    plus reduction tables for x^d .. x^{2d-2} and the cached powers of q.
-    ``_mul``, ``_add`` and ``_inv`` memoise the field's arithmetic (see the
-    module docstring); they change no result, only its cost.
+    plus reduction tables for x^d .. x^{2d-2}.  ``_mul``, ``_add`` and
+    ``_inv`` (over the operands' (num, den) parts), ``q_power``, ``q_int``
+    and ``q_factorial`` are functools caches made per field, so no memo
+    outlives its field or is shared with an equal one; they change no
+    result, only its cost (see the module docstring).
     """
 
-    __slots__ = ("mode", "h", "degree", "modulus", "_red", "_qpow", "_qint",
-                 "_qfact", "zero", "one", "_mul", "_add", "_inv",
-                 "_mul_keys", "_add_keys", "_inv_keys")
+    __slots__ = ("mode", "h", "degree", "modulus", "_red", "zero", "one",
+                 "_mul", "_add", "_inv", "q_power", "q_int", "q_factorial")
 
     def __init__(self, mode, h=None):
         if mode not in (ROOT, GENERIC):
@@ -218,15 +219,17 @@ class FieldSpec:
             self.degree = None
             self.modulus = None
             self._red = None
-        self._qpow = {}
-        self._qint = {}
-        self._qfact = {}
-        self._mul = {}
-        self._add = {}
-        self._inv = {}
-        self._mul_keys = deque()
-        self._add_keys = deque()
-        self._inv_keys = deque()
+        # on a miss the kernel runs on operands rebuilt from their parts
+        new = RootScalar if mode == ROOT else GenericScalar
+        mul, add, inv = new._mul_kernel, new._add_kernel, new._invert_kernel
+        self._mul = lru_cache(MEMO_SIZE)(
+            lambda an, ad, bn, bd: mul(new(self, an, ad), new(self, bn, bd)))
+        self._add = lru_cache(MEMO_SIZE)(
+            lambda an, ad, bn, bd: add(new(self, an, ad), new(self, bn, bd)))
+        self._inv = lru_cache(MEMO_SIZE)(lambda n, d: inv(new(self, n, d)))
+        self.q_power = cache(self._q_power)
+        self.q_int = cache(self._q_int)
+        self.q_factorial = cache(self._q_factorial)
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
 
@@ -245,11 +248,11 @@ class FieldSpec:
         return f"root:{self.h}" if self.mode == ROOT else "generic"
 
     def clear_memo(self):
-        """Drop every memoised result.  The scalars in the tables point back
-        at this field, so without this they live until a cyclic collection."""
-        for table in (self._mul, self._add, self._inv, self._mul_keys,
-                      self._add_keys, self._inv_keys):
-            table.clear()
+        """Drop every memoised result.  The cached scalars point back at this
+        field, so without this they live until a cyclic collection."""
+        for memo in (self._mul, self._add, self._inv, self.q_power,
+                     self.q_int, self.q_factorial):
+            memo.cache_clear()
 
     # -- constructors -------------------------------------------------------
 
@@ -272,59 +275,39 @@ class FieldSpec:
 
     # -- q-specific values --------------------------------------------------
 
-    def q_power(self, m):
+    def _q_power(self, m):
         """q^m as a Scalar (negative m allowed)."""
-        s = self._qpow.get(m)
-        if s is not None:
-            return s
-        if self.mode == ROOT:
-            e = m % (2 * self.h)
-            s = self._qpow.get(e)
-            if s is None:
-                d = self.degree
-                if e < d:
-                    num = [0] * d
-                    num[e] = 1
-                    s = RootScalar(self, tuple(num), 1)
-                else:
-                    s = self.q_power(e - 1) * self.q_power(1)
-                self._qpow[e] = s
-        else:
+        if self.mode == GENERIC:
             if m >= 0:
-                s = GenericScalar(self, (0,) * m + (1,), (1,))
-            else:
-                s = GenericScalar(self, (1,), (0,) * (-m) + (1,))
-        self._qpow[m] = s
-        return s
+                return GenericScalar(self, (0,) * m + (1,), (1,))
+            return GenericScalar(self, (1,), (0,) * (-m) + (1,))
+        e = m % (2 * self.h)
+        if e != m:
+            return self.q_power(e)
+        if e < self.degree:
+            num = [0] * self.degree
+            num[e] = 1
+            return RootScalar(self, tuple(num), 1)
+        return self.q_power(e - 1) * self.q_power(1)
 
-    def q_int(self, m):
+    def _q_int(self, m):
         """The q-integer [m] = (q^m - q^-m)/(q - q^-1), as a power sum.
 
         Implemented as sign(m) * sum_j q^{|m|-1-2j} so no division is needed.
         """
-        s = self._qint.get(m)
-        if s is not None:
-            return s
         a = abs(m)
         s = self.zero
         for j in range(a):
             s = s + self.q_power(a - 1 - 2 * j)
-        if m < 0:
-            s = -s
-        self._qint[m] = s
-        return s
+        return -s if m < 0 else s
 
-    def q_factorial(self, m):
+    def _q_factorial(self, m):
         """[m]! = [1][2]...[m]."""
         if m < 0:
             raise UsageError("q_factorial needs m >= 0")
-        s = self._qfact.get(m)
-        if s is not None:
-            return s
         s = self.one
         for j in range(1, m + 1):
             s = s * self.q_int(j)
-        self._qfact[m] = s
         return s
 
     # -- text encoding ------------------------------------------------------
@@ -349,29 +332,10 @@ def make_field(mode, h=None):
     return FieldSpec(mode, h)
 
 
-def _pair_key(a, b):
-    """The memo key of a commutative op: both operands' (num, den), in an
-    order that does not depend on the operands' order."""
-    if a.num <= b.num:
-        return a.num, a.den, b.num, b.den
-    return b.num, b.den, a.num, a.den
-
-
-def _remember(table, keys, key, value):
-    """Store one result, evicting the oldest entry once the table is full.
-    ``keys`` holds the table's keys in insertion order, so the oldest is
-    found in O(1); a dict iterator would first skip the slots that earlier
-    evictions left dead."""
-    if len(table) >= MEMO_SIZE:
-        del table[keys.popleft()]
-    table[key] = value
-    keys.append(key)
-    return value
-
-
 class _Scalar:
     """The memoised arithmetic both scalar types share; each names its
-    exact kernels, which are called only on a memo miss."""
+    exact kernels, which the field's memo calls only on a miss.  ``+`` and
+    ``*`` pass the smaller ``num`` first, so a.b and b.a share one entry."""
 
     __slots__ = ()
 
@@ -379,11 +343,9 @@ class _Scalar:
         fs = self.fs
         if fs is not other.fs and fs != other.fs:
             raise UsageError("scalars from different fields")
-        key = _pair_key(self, other)
-        s = fs._add.get(key)
-        if s is None:
-            s = _remember(fs._add, fs._add_keys, key, self._add_kernel(other))
-        return s
+        if self.num <= other.num:
+            return fs._add(self.num, self.den, other.num, other.den)
+        return fs._add(other.num, other.den, self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -396,21 +358,14 @@ class _Scalar:
             return self
         if self is fs.one:
             return other
-        key = _pair_key(self, other)
-        s = fs._mul.get(key)
-        if s is None:
-            s = _remember(fs._mul, fs._mul_keys, key, self._mul_kernel(other))
-        return s
+        if self.num <= other.num:
+            return fs._mul(self.num, self.den, other.num, other.den)
+        return fs._mul(other.num, other.den, self.num, self.den)
 
     def invert(self):
         if self.is_zero():
             raise FieldError("inversion of zero")
-        fs = self.fs
-        key = (self.num, self.den)
-        s = fs._inv.get(key)
-        if s is None:
-            s = _remember(fs._inv, fs._inv_keys, key, self._invert_kernel())
-        return s
+        return self.fs._inv(self.num, self.den)
 
     def __truediv__(self, other):
         return self * other.invert()

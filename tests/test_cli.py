@@ -887,6 +887,30 @@ def test_out_of_range_input_is_a_usage_error(argv, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "nodir")
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--k", "1"],
+    ["verify-field", "--n", "3", "--k", "1"],
+    ["verify-algebra", "--n", "3", "--k", "1"],
+    ["fprime", "--n", "3", "--k", "1"],
+    ["check-w", "--n", "3", "--k", "1"],
+    ["cache", "list"],
+    ["cache", "validate"],
+    ["cache", "purge"],
+], ids=lambda argv: "_".join(argv[:2]))
+def test_cache_dir_that_is_a_file_is_a_usage_error(argv, tmp_path, capsys):
+    """A --cache-dir naming an existing file is rejected before any work
+    runs, with exit status 2 and no traceback; nothing is created."""
+    path = tmp_path / "file"
+    path.write_text("x")
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + ["--cache-dir", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--cache-dir" in err and "not a directory" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["file"] and path.read_text() == "x"
+
+
 def test_generic_check_w_keeps_its_skipped_record(tmp_path):
     code, report = run_cmd(["check-w", "--n", "2", "--k", "1", "--generic-q"],
                            tmp_path)

@@ -300,9 +300,11 @@ def test_fprime_dimension_checks_the_reduced_weights():
 
 
 def test_fprime_reduces_few_terms_and_each_diagram_once(monkeypatch):
-    """A cold ``fprime --n 3 --k 1`` hands 2 263 free terms to
-    ``reduced_coordinates`` (2 347 when every growth step applied its Q,
-    7 352 when every diagram vector was reduced as a free state), and the
+    """A cold ``fprime --n 3 --k 1`` hands 1 939 free terms to
+    ``reduced_coordinates`` (2 263 when the row/column commutativity check
+    applied each single Q once per pair, 2 347 when every growth step
+    applied its Q as well, 7 352 when every diagram vector was reduced as a
+    free state), and the
     memo applies one Q per nonempty diagram.  A growth step whose box ends
     the grown diagram's last row reads the memo and applies none: in row 1,
     those of (), (1,) and (2,)."""
@@ -312,7 +314,7 @@ def test_fprime_reduces_few_terms_and_each_diagram_once(monkeypatch):
         terms.append(len(state.terms)) or reduce(ctx, state)))
     with contextlib.redirect_stdout(io.StringIO()):
         cli.run(["fprime", "--n", "3", "--k", "1", "--format", "json"])
-    assert sum(terms) == 2263
+    assert sum(terms) == 1939
     calls = []
     apply = qa.reduced_apply_Q
     monkeypatch.setattr(qa, "reduced_apply_Q", lambda *args: (

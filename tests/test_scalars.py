@@ -9,7 +9,7 @@ from sympy import Poly, cyclotomic_poly, symbols
 from qzm.basis import FockContext
 from qzm.scalars import (FieldError, GENERIC, MEMO_SIZE, ROOT, UsageError,
                          _generic_add, _generic_invert, _generic_mul,
-                         _make_generic, _pair_key, _poly_mul_int, _root_add,
+                         _make_generic, _poly_mul_int, _root_add,
                          _root_invert, _root_mul, cyclotomic, make_field)
 
 
@@ -289,9 +289,9 @@ def test_products_with_one_skip_the_memo(h):
     another field's one still raises, and -x is x * -1."""
     f = make_field(GENERIC) if h is None else make_field(ROOT, h)
     x = f.q_int(3) + f.q_power(1)
-    products = len(f._mul)
+    products = f._mul.cache_info()
     assert x * f.one is x and f.one * x is x
-    assert len(f._mul) == products
+    assert f._mul.cache_info() == products
     for g in (make_field(ROOT, 4), make_field(ROOT, 5), make_field(GENERIC)):
         if g != f:
             with pytest.raises(UsageError):
@@ -308,30 +308,43 @@ def test_memo_tables_stay_bounded(mode):
     for i in range(MEMO_SIZE + 100):
         a = f.from_int(i + 2) * f.q_power(1)
         a * b, a + b, a.invert()
-        assert max(len(f._mul), len(f._add), len(f._inv)) <= MEMO_SIZE
-    assert len(f._mul) == len(f._add) == len(f._inv) == MEMO_SIZE
+        assert max(t.cache_info().currsize
+                   for t in (f._mul, f._add, f._inv)) <= MEMO_SIZE
+    assert [t.cache_info().currsize for t in (f._mul, f._add, f._inv)] \
+        == [MEMO_SIZE] * 3
+
+
+def _memo_sizes(f):
+    return [m.cache_info().currsize for m in (
+        f._mul, f._add, f._inv, f.q_power, f.q_int, f.q_factorial)]
 
 
 @pytest.mark.parametrize("mode", [ROOT, GENERIC])
-def test_memo_evicts_oldest_first(mode):
-    """After MEMO_SIZE + 7 misses each table holds exactly the newest
-    MEMO_SIZE keys, in insertion order, and so does its key queue."""
+def test_memo_evicts_least_recently_used(mode):
+    """Once a table is full, a miss evicts its least recently used entry:
+    the oldest entry survives if it was hit after it was inserted, and the
+    next oldest goes instead."""
     f = make_field(mode, 7 if mode == ROOT else None)
     b = f.q_int(3)
-    ops = [f.from_int(i + 2) * f.q_power(1) for i in range(MEMO_SIZE + 7)]
-    f.clear_memo()
-    for a in ops:
+    ops = [f.from_int(i + 2) * f.q_power(1) for i in range(MEMO_SIZE + 1)]
+    ops[0].invert()             # a root inverse reads q^-1 through the memo
+    tables = (f._mul, f._add, f._inv)
+    for t in tables:
+        t.cache_clear()
+
+    def use(a):
         a * b, a + b, a.invert()
-    pairs = [_pair_key(a, b) for a in ops][-MEMO_SIZE:]
-    singles = [(a.num, a.den) for a in ops][-MEMO_SIZE:]
-    for table, keys, expected in ((f._mul, f._mul_keys, pairs),
-                                  (f._add, f._add_keys, pairs),
-                                  (f._inv, f._inv_keys, singles)):
-        assert list(table) == expected
-        assert list(keys) == expected
+        return [t.cache_info()[:2] for t in tables]    # (hits, misses)
+
+    for a in ops[:MEMO_SIZE]:
+        use(a)
+    assert use(ops[0]) == [(1, MEMO_SIZE)] * 3
+    assert use(ops[MEMO_SIZE]) == [(1, MEMO_SIZE + 1)] * 3
+    assert use(ops[0]) == [(2, MEMO_SIZE + 1)] * 3     # kept: hit last
+    assert use(ops[1]) == [(2, MEMO_SIZE + 2)] * 3     # evicted
+    assert [t.cache_info().currsize for t in tables] == [MEMO_SIZE] * 3
     f.clear_memo()
-    assert not any((f._mul, f._add, f._inv,
-                    f._mul_keys, f._add_keys, f._inv_keys))
+    assert not any(_memo_sizes(f))
 
 
 def test_released_context_frees_its_memo():
@@ -343,10 +356,8 @@ def test_released_context_frees_its_memo():
         ctx = FockContext(2, 2)
         ctx.family_basis((2, 1))
         field = ctx.field
-        tables = (field._mul, field._add, field._inv, field._mul_keys,
-                  field._add_keys, field._inv_keys)
-        assert all(tables)
+        assert all(_memo_sizes(field))
         del ctx
-        assert not any(tables)
+        assert not any(_memo_sizes(field))
     finally:
         gc.enable()
