@@ -424,11 +424,10 @@ def build_block(ctx, row_content, flavor_content):
                 yield [(bytes((x,)), one)]
         lower = ctx.block_basis(*levels[1]) if len(levels) > 1 else None
         if lower and lower.dim:
-            if ctx._det is None:
-                ctx._det = determinant_blocks(field, n)
+            blocks = determinant_blocks(field, n)
             bare = determinant_bare(field, n, levels[1][0])
             for beta in lower.basis_words:
-                yield [(b + beta, c) for b, c in ctx._det] + [(beta, bare)]
+                yield [(b + beta, c) for b, c in blocks] + [(beta, bare)]
 
     rref, memo = {}, {}     # memo: reduce_word's, per build
     for terms in rows() if words else ():
@@ -493,7 +492,6 @@ class FockContext:
         self._live = {}         # live_count's memo for build_block
         # the R2/R3 swap units -q^e, e = eps(x, y)
         self._neg_q = {e: -self.field.q_power(e) for e in (-1, 0, 1)}
-        self._det = None        # determinant_blocks, made by the first R5 row
         self._diagrams = {}     # qalgebra.diagram_coordinates, by parts
         self.stats = {"blocks_built": 0, "max_block_words": 0,
                       "blocks_loaded": 0}

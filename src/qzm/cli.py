@@ -18,7 +18,7 @@ from . import __version__, bilinears as bl, diagrams as dg, qalgebra as qa
 from .basis import (BudgetExceeded, DEFAULT_BUDGET, FockContext, _compositions,
                     chain_levels)
 from .cache import DiskCache
-from .fock import (State, class_words, determinant_rows, eps_tag, exchange_terms,
+from .fock import (State, class_words, determinant_terms, eps_tag, exchange_terms,
                    live_windows, word_is_dead)
 from .reports import (BUDGET, CheckRecord, DERIVED, EXPLORATORY, FAIL, DOCUMENTED,
                       PASS, Report, SKIPPED)
@@ -226,8 +226,8 @@ def _instances_all_zero(ctx, rc, fc, r1, counts):
     end in different letters, by whether x or y has row 1, which does not
     change under the swap.
 
-    R5: each ``determinant_rows`` instance of the lower levels goes through
-    ``reduce_terms``.
+    R5: each ``determinant_terms`` row of the lower levels, a {word:
+    coefficient} dict, goes through ``reduce_terms``.
     """
     n, field = ctx.n, ctx.field
     red = ctx.reduce_word
@@ -272,11 +272,11 @@ def _instances_all_zero(ctx, rc, fc, r1, counts):
                             for (b, s), (b2, s2) in zip(r, r2)):
                         return False
                 cnt[yi] += 1
-    for ws in level_words[1:]:
-        for inst in determinant_rows(field, n, ctx.h, ws):
-            counts["determinant_checked"] += 1
-            if ctx.reduce_terms(inst.terms):
-                return False
+    for _, terms in determinant_terms(field, n, [z for ws in level_words[1:]
+                                                 for z in ws]):
+        counts["determinant_checked"] += 1
+        if ctx.reduce_terms(terms):
+            return False
     return True
 
 
@@ -361,10 +361,10 @@ def _determinant_consistency(ctx, rng, samples):
                 continue
             zs = class_words(n, rc, fc)
             rng.shuffle(zs)
-            for z in zs[:max(1, samples // 5)]:
-                for inst in determinant_rows(ctx.field, n, ctx.h, [z]):
-                    if ctx.reduce_terms(inst.terms):
-                        return False
+            for _, terms in determinant_terms(ctx.field, n,
+                                              zs[:max(1, samples // 5)]):
+                if ctx.reduce_terms(terms):
+                    return False
     return True
 
 
@@ -618,9 +618,12 @@ def _check_ranges(parser, cfg):
             parser.error(f"--{name} must be at least {low}")
     if cfg.command == "cache" and not cfg.cache_dir:
         parser.error("the cache command needs --cache-dir")
-    # a listing reads an existing cache; compute commands create a missing one
-    if cfg.cache_dir and not os.path.isdir(cfg.cache_dir) and (
-            cfg.command == "cache" or os.path.exists(cfg.cache_dir)):
+    # a listing reads an existing cache; compute commands create a missing
+    # one, so its nearest existing ancestor must be a directory
+    near = cfg.cache_dir and os.path.abspath(cfg.cache_dir)
+    while near and cfg.command != "cache" and not os.path.lexists(near):
+        near = os.path.dirname(near)
+    if near and not os.path.isdir(near):
         parser.error(f"--cache-dir {cfg.cache_dir}: not a directory")
     if cfg.out and (os.path.isdir(cfg.out)
                     or not os.path.isdir(os.path.dirname(cfg.out) or ".")):

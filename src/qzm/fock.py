@@ -311,18 +311,17 @@ def _perm_data(n):
 def determinant_blocks(field, n):
     """The n-letter blocks of an R5 row, each with its coefficient: the
     ordinary antisymmetric symbol on rows times the quantum one,
-    (-q)^{EPS_SIGN * inversions}, on flavors."""
-    pdata = _perm_data(n)
-    out = []
-    for srow, rinv in pdata:
-        for sflav, finv in pdata:
-            e = EPS_SIGN * finv
-            c = field.q_power(e)
-            if (e + rinv) % 2:
-                c = -c
-            out.append((bytes((srow[t] - 1) * n + (sflav[t] - 1)
-                              for t in range(n)), c))
-    return out
+    (-q)^{EPS_SIGN * inversions}, on flavors.  Made once per field and n,
+    in ``field.tables``; callers must not mutate it."""
+    key = (TEMPLATE_DET, n)
+    if key not in field.tables:
+        pdata = _perm_data(n)
+        field.tables[key] = [
+            (bytes((sr[t] - 1) * n + (sf[t] - 1) for t in range(n)),
+             -field.q_power(EPS_SIGN * fi) if (EPS_SIGN * fi + ri) % 2
+             else field.q_power(EPS_SIGN * fi))
+            for sr, ri in pdata for sf, fi in pdata]
+    return field.tables[key]
 
 
 def determinant_bare(field, n, cnt):
@@ -337,8 +336,8 @@ def determinant_bare(field, n, cnt):
     return -(field.q_factorial(n) * dq)
 
 
-def determinant_rows(field, n, h, lower_words):
-    """Yield R5 instances: one per (lower word, split point).
+def determinant_terms(field, n, lower_words):
+    """Yield (split, {word: coefficient}), one R5 row per lower word and split.
 
     Each row expands the n-letter determinant block inserted at the split
     (``determinant_blocks``), minus [n]! D_q evaluated at the suffix weight
@@ -352,9 +351,12 @@ def determinant_rows(field, n, h, lower_words):
         L = len(z)
         for split in (L,) if z and z[-1] >= n else range(L + 1):
             prefix, suffix = z[:split], z[split:]
-            cnt = [0] * n
-            for code in suffix:
-                cnt[code // n] += 1
             terms = {prefix + b + suffix: c for b, c in blocks}
-            terms[z] = determinant_bare(field, n, cnt)
-            yield RelationInstance(TEMPLATE_DET, terms, split)
+            terms[z] = determinant_bare(field, n, word_row_content(n, suffix))
+            yield split, terms
+
+
+def determinant_rows(field, n, h, lower_words):
+    """The ``determinant_terms`` rows as R5 instances."""
+    return (RelationInstance(TEMPLATE_DET, terms, split)
+            for split, terms in determinant_terms(field, n, lower_words))

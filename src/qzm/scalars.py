@@ -24,9 +24,11 @@ tuples (one entry for both operand orders of ``*`` and ``+``), because
 elimination repeats the same few products of q-integers and units; a
 product with the field's own ``one`` returns the other operand and skips the
 memo.  Each holds at most ``MEMO_SIZE`` entries and evicts the least recently
-used first; q^m, [m] and [m]! are cached without bound.  ``clear_memo``
-empties all six caches (a ``FockContext`` calls it when it is released).
-The caches stay consistent when threads share a field.
+used first; q^m, [m] and [m]! are cached without bound, and so is
+``tables``, the constants other modules derive from the field (bilinear
+terms, determinant blocks).  ``clear_memo`` empties all of them (a
+``FockContext`` calls it when it is released); they stay consistent when
+threads share a field.
 
 Working modulo Phi_{2h} rather than x^h + 1 matters: x^h + 1 has zero
 divisors when 2h is not a prime power, which would make zero-testing
@@ -181,13 +183,14 @@ class FieldSpec:
     Root mode carries h, the modulus Phi_{2h} and its degree d = phi(2h),
     plus reduction tables for x^d .. x^{2d-2}.  ``_mul``, ``_add`` and
     ``_inv`` (over the operands' (num, den) parts), ``q_power``, ``q_int``
-    and ``q_factorial`` are functools caches made per field, so no memo
-    outlives its field or is shared with an equal one; they change no
-    result, only its cost (see the module docstring).
+    and ``q_factorial`` are functools caches made per field, and ``tables``
+    a dict, so no memo outlives its field or is shared with an equal one;
+    they change no result, only its cost (see the module docstring).
     """
 
     __slots__ = ("mode", "h", "degree", "modulus", "_red", "zero", "one",
-                 "_mul", "_add", "_inv", "q_power", "q_int", "q_factorial")
+                 "_mul", "_add", "_inv", "q_power", "q_int", "q_factorial",
+                 "tables")
 
     def __init__(self, mode, h=None):
         if mode not in (ROOT, GENERIC):
@@ -230,6 +233,7 @@ class FieldSpec:
         self.q_power = cache(self._q_power)
         self.q_int = cache(self._q_int)
         self.q_factorial = cache(self._q_factorial)
+        self.tables = {}
         self.zero = self.from_int(0)
         self.one = self.from_int(1)
 
@@ -253,6 +257,7 @@ class FieldSpec:
         for memo in (self._mul, self._add, self._inv, self.q_power,
                      self.q_int, self.q_factorial):
             memo.cache_clear()
+        self.tables.clear()
 
     # -- constructors -------------------------------------------------------
 

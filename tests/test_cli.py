@@ -911,6 +911,32 @@ def test_cache_dir_that_is_a_file_is_a_usage_error(argv, tmp_path, capsys):
     assert os.listdir(tmp_path) == ["file"] and path.read_text() == "x"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--k", "1"],
+    ["verify-field", "--n", "3", "--k", "1"],
+    ["verify-algebra", "--n", "3", "--k", "1"],
+    ["fprime", "--n", "2", "--k", "2"],
+    ["check-w", "--n", "3", "--k", "1"],
+    ["cache", "list"],
+    ["cache", "validate"],
+    ["cache", "purge"],
+], ids=lambda argv: "_".join(argv[:2]))
+@pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+def test_cache_dir_below_a_file_is_a_usage_error(argv, below, tmp_path, capsys):
+    """A missing --cache-dir whose nearest existing ancestor is a file can
+    never be made: it is rejected before any work runs, with exit status 2
+    and no traceback, and nothing is created."""
+    path = tmp_path / "file"
+    path.write_text("x")
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + ["--cache-dir", str(path / below)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--cache-dir" in err and "not a directory" in err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == ["file"] and path.read_text() == "x"
+
+
 def test_generic_check_w_keeps_its_skipped_record(tmp_path):
     code, report = run_cmd(["check-w", "--n", "2", "--k", "1", "--generic-q"],
                            tmp_path)
